@@ -15,6 +15,7 @@ from .criterion import (
     TestReport,
     Verdict,
     coset_partial_products,
+    evaluate,
     product_naive,
     product_structured,
     run_test,
@@ -23,15 +24,8 @@ from .criterion import (
 )
 from .cyclotomic import IntPolynomial, ResiduePolynomial, cyclotomic_poly, verify_lemma
 from .errors import DomainError, NotDivisible, PathUnavailable
-from .modmath import (
-    RepunitModulus,
-    build_modulus,
-    exact_div,
-    fold_reduce_pow2,
-    mult_order,
-    powmod,
-)
-from .oracle import fermat_check, is_prime_trial, product_bruteforce
+from .modmath import RepunitModulus, build_modulus, fold_reduce_pow2, mult_order
+from .oracle import is_prime_trial, product_bruteforce
 
 __version__ = "0.1.0"
 
@@ -53,12 +47,10 @@ __all__ = [
     "coset_partial_products",
     "cyclotomic_poly",
     "decompose",
-    "exact_div",
-    "fermat_check",
+    "evaluate",
     "fold_reduce_pow2",
     "is_prime_trial",
     "mult_order",
-    "powmod",
     "product_bruteforce",
     "product_naive",
     "product_structured",

@@ -19,11 +19,10 @@ from typing import Callable
 
 from . import golden
 from .cosets import decompose, verify_partition
-from .criterion import Path, TestReport, Verdict, product_naive, product_structured, run_test, sweep
+from .criterion import Path, TestReport, Verdict, run_test, sweep
 from .cyclotomic import cyclotomic_poly, verify_lemma
 from .errors import DomainError
-from .modmath import build_modulus, fold_reduce_pow2
-from .oracle import is_prime_trial
+from .modmath import fold_reduce_pow2
 
 BENCH_REDUCTION_SAMPLES = 256
 BENCH_SEED = 0x5EED
@@ -140,9 +139,8 @@ def cmd_paper_example(args: argparse.Namespace) -> int:
         and d.cosets == golden.COSETS
         and partition.all_passed
     )
-    rm = build_modulus(golden.BASE, golden.P)
-    naive = product_naive(rm)
-    structured = product_structured(rm, d)
+    report = run_test(golden.BASE, golden.P, Path.BOTH)
+    naive, structured = report.residues["naive"], report.residues["structured"]
     residues_ok = naive == structured == golden.EXPECTED_RESIDUE
     ok = fixture_ok and residues_ok
 
@@ -170,29 +168,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     p, b = args.p, args.b
     if args.reps < 1:
         raise DomainError(f"reps must be >= 1, got {args.reps}")
-    if not is_prime_trial(p) or p < 3 or p % 2 == 0:
-        raise DomainError(f"bench needs an odd prime p, got {p}")
-    rm = build_modulus(b, p)
-    if b > p - 1 and not args.allow_large_base:
-        raise DomainError(f"base {b} exceeds p-1 = {p - 1}; pass --allow-large-base")
-    d = decompose(p)
-
-    naive_ms: list[float] = []
-    structured_ms: list[float] = []
-    residues: set[int] = set()
-    for _ in range(args.reps):
-        t0 = time.perf_counter()
-        rn = product_naive(rm)
-        naive_ms.append((time.perf_counter() - t0) * 1000.0)
-        t0 = time.perf_counter()
-        rs = product_structured(rm, d)
-        structured_ms.append((time.perf_counter() - t0) * 1000.0)
-        residues.update((rn, rs))
-    agree = len(residues) == 1
-    residue = rn
+    reports = [
+        run_test(b, p, Path.BOTH, allow_large_base=args.allow_large_base) for _ in range(args.reps)
+    ]
+    naive_ms = [r.elapsed["naive"] for r in reports]
+    structured_ms = [r.elapsed["structured"] for r in reports]
+    agree = len({x for r in reports for x in r.residues.values()}) == 1
+    residue = reports[-1].residue
 
     lines = [
-        f"p = {p}, b = {b}, modulus digits = {len(str(rm.M))}, reps = {args.reps}",
+        f"p = {p}, b = {b}, modulus digits = {reports[-1].modulus_digits}, reps = {args.reps}",
         f"naive:      mean {statistics.mean(naive_ms):10.3f} ms",
         f"structured: mean {statistics.mean(structured_ms):10.3f} ms",
     ]
@@ -207,13 +192,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Reduction micro-benchmark: fold vs generic remainder on identical
     # inputs, meaningful only for the Mersenne case b = 2.
     if b == 2:
+        mersenne = (1 << p) - 1
         rng = random.Random(BENCH_SEED)
         xs = [rng.getrandbits(2 * p + 1) for _ in range(BENCH_REDUCTION_SAMPLES)]
         t0 = time.perf_counter()
         folded = [fold_reduce_pow2(x, p) for x in xs]
         fold_us = (time.perf_counter() - t0) * 1e6 / len(xs)
         t0 = time.perf_counter()
-        generic = [x % rm.M for x in xs]
+        generic = [x % mersenne for x in xs]
         generic_us = (time.perf_counter() - t0) * 1e6 / len(xs)
         agree = agree and folded == generic
         lines.append(f"reduce (fold):    {fold_us:10.3f} us/call")

@@ -142,14 +142,18 @@ def verify_partition(d: CosetDecomposition) -> VerificationReport:
         seen |= cs
     union = seen == set(range(1, d.p))
 
+    # One pointer to the smallest uncovered number; it only moves forward,
+    # so the check is linear in p.
     minimal = len(d.reps) == len(d.cosets)
     covered: set[int] = set()
+    smallest = 1
     for rep, c in zip(d.reps, d.cosets):
-        smallest = next((x for x in range(1, d.p) if x not in covered), None)
-        if rep != smallest or not c or rep != min(c):
+        while smallest in covered:
+            smallest += 1
+        if smallest >= d.p or rep != smallest or not c or rep != min(c):
             minimal = False
             break
-        covered |= set(c)
+        covered.update(c)
 
     return VerificationReport(
         within_coset_distinct=within,

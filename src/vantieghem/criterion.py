@@ -102,23 +102,62 @@ def telescope_check(x: int, r: int) -> bool:
     return lhs == exact_div(power - 1, x - 1)
 
 
+def evaluate(
+    rm: RepunitModulus, path: Path, d: CosetDecomposition | None = None
+) -> tuple[dict[str, int], dict[str, float]]:
+    """Run the requested path(s) on rm: each path's residue mod M and wall time in ms.
+
+    Both dicts are keyed by path name ("naive", "structured"), naive first.
+    d must be decompose(rm.p) when the structured path runs.  The product
+    functions are looked up as module globals at call time, so a wrapper
+    installed on this module sees every evaluation.
+    """
+    if d is None and path is not Path.NAIVE:
+        raise PathUnavailable("the structured path needs the coset decomposition of p")
+    residues: dict[str, int] = {}
+    elapsed: dict[str, float] = {}
+    for single in (Path.NAIVE, Path.STRUCTURED):
+        if path in (single, Path.BOTH):
+            t0 = time.perf_counter()
+            residues[single.value] = (
+                product_naive(rm) if single is Path.NAIVE else product_structured(rm, d)
+            )
+            elapsed[single.value] = (time.perf_counter() - t0) * 1000.0
+    return residues, elapsed
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of one (b, p) trial.
 
-    verdict is PRIME_CONSISTENT exactly when residue == 1; residue < M.
-    elapsed maps each evaluated path name to wall time in milliseconds.
-    paths_agree is set only when both paths ran.
+    residues and elapsed map each evaluated path name to its residue (< M)
+    and its wall time in milliseconds.  residue, verdict and paths_agree are
+    derived from residues, so they cannot disagree with it.
     """
 
     b: int
     p: int
     modulus_digits: int
-    residue: int
-    verdict: Verdict
     path: Path
-    paths_agree: bool | None
+    residues: dict[str, int]
     elapsed: dict[str, float]
+
+    @property
+    def residue(self) -> int:
+        """The naive residue when the naive path ran, else the structured one."""
+        return self.residues.get("naive", self.residues.get("structured"))
+
+    @property
+    def verdict(self) -> Verdict:
+        """PRIME_CONSISTENT exactly when residue == 1."""
+        return Verdict.PRIME_CONSISTENT if self.residue == 1 else Verdict.COMPOSITE_INDICATED
+
+    @property
+    def paths_agree(self) -> bool | None:
+        """Whether both paths gave the same residue; None unless both ran."""
+        if len(self.residues) < 2:
+            return None
+        return len(set(self.residues.values())) == 1
 
     def to_record(self) -> dict:
         """JSON-ready record; all integers are decimal strings."""
@@ -145,38 +184,20 @@ def run_test(b: int, p: int, path: Path = Path.NAIVE, *, allow_large_base: bool 
     rm = build_modulus(b, p)
     if b > p - 1 and not allow_large_base:
         raise DomainError(
-            f"base {b} exceeds p-1 = {p - 1}; pass allow_large_base to run anyway"
+            f"base {b} exceeds p-1 = {p - 1}; pass allow_large_base (--allow-large-base) to run anyway"
         )
-    want_naive = path in (Path.NAIVE, Path.BOTH)
-    want_structured = path in (Path.STRUCTURED, Path.BOTH)
-    if want_structured and not is_prime_trial(p):
-        raise PathUnavailable(f"structured path requires prime p, got composite {p}")
-
-    residues: dict[str, int] = {}
-    elapsed: dict[str, float] = {}
-    if want_naive:
-        t0 = time.perf_counter()
-        residues["naive"] = product_naive(rm)
-        elapsed["naive"] = (time.perf_counter() - t0) * 1000.0
-    if want_structured:
+    d = None
+    if path is not Path.NAIVE:
+        if not is_prime_trial(p):
+            raise PathUnavailable(f"structured path requires an odd prime p, got composite {p}")
         d = decompose(p)
-        t0 = time.perf_counter()
-        residues["structured"] = product_structured(rm, d)
-        elapsed["structured"] = (time.perf_counter() - t0) * 1000.0
-
-    paths_agree = None
-    if path is Path.BOTH:
-        paths_agree = residues["naive"] == residues["structured"]
-    residue = residues["naive"] if want_naive else residues["structured"]
-    verdict = Verdict.PRIME_CONSISTENT if residue == 1 else Verdict.COMPOSITE_INDICATED
+    residues, elapsed = evaluate(rm, path, d)
     return TestReport(
         b=b,
         p=p,
         modulus_digits=len(str(rm.M)),
-        residue=residue,
-        verdict=verdict,
         path=path,
-        paths_agree=paths_agree,
+        residues=residues,
         elapsed=elapsed,
     )
 
@@ -283,11 +304,9 @@ def sweep(
         for b in wanted:
             if b > p - 1 and not allow_large_base:
                 continue
-            rm = build_modulus(b, p)
-            naive = product_naive(rm)
-            agree = None
-            if d is not None:
-                agree = product_structured(rm, d) == naive
+            residues, _ = evaluate(build_modulus(b, p), Path.BOTH if prime else Path.NAIVE, d)
+            naive = residues["naive"]
+            agree = residues["structured"] == naive if prime else None
             entries.append(
                 SweepEntry(p=p, b=b, prime=prime, residue_one=naive == 1, paths_agree=agree)
             )

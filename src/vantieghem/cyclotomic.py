@@ -122,8 +122,7 @@ class IntPolynomial:
             quo[shift] = c
             for i, d in enumerate(other.coeffs):
                 rem[shift + i] -= c * d
-            assert rem[-1] == 0
-            rem.pop()
+            rem.pop()  # zero: leftover == 0 means c * lead == rem[-1]
             while rem and rem[-1] == 0:
                 rem.pop()
         return IntPolynomial(tuple(quo)), IntPolynomial(tuple(rem))
@@ -185,7 +184,8 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
     for d in range(1, m):
         if m % d == 0:
             poly, rem = divmod(poly, cyclotomic_poly(d))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise NotDivisible(f"Phi_{d} leaves remainder {rem} in X^{m} - 1")
     return poly
 
 

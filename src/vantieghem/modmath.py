@@ -26,13 +26,6 @@ def exact_div(num: int, den: int) -> int:
     return q
 
 
-def powmod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply (the built-in pow)."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    return pow(base, exp, modulus)
-
-
 def fold_reduce_pow2(x: int, p: int) -> int:
     """x mod (2**p - 1) without division, for x >= 0 and p >= 2.
 
@@ -68,13 +61,13 @@ class RepunitModulus:
 
     def pow_b_mod(self, n: int) -> int:
         """b**n mod M, computed as b**(n mod p) since b**p == 1 (mod M)."""
-        return powmod(self.b, n % self.p, self.M)
+        return pow(self.b, n % self.p, self.M)
 
 
 def build_modulus(b: int, p: int) -> RepunitModulus:
     """Construct the repunit modulus for base b >= 2 and odd exponent p >= 3.
 
-    The identity M * (b - 1) = b**p - 1 is re-verified by multiplication.
+    exact_div raises NotDivisible if M * (b - 1) = b**p - 1 does not hold.
     """
     if b < 2:
         raise DomainError(f"base must be >= 2, got {b}")
@@ -82,7 +75,6 @@ def build_modulus(b: int, p: int) -> RepunitModulus:
         raise DomainError(f"exponent must be odd and >= 3, got {p}")
     B = b**p - 1
     M = exact_div(B, b - 1)
-    assert M * (b - 1) == B
     return RepunitModulus(b=b, p=p, M=M, B=B)
 
 
@@ -112,6 +104,6 @@ def mult_order(g: int, p: int) -> int:
         raise DomainError(f"{g} is divisible by {p}")
     r = p - 1
     for q in _distinct_prime_factors(p - 1):
-        while r % q == 0 and powmod(g, r // q, p) == 1:
+        while r % q == 0 and pow(g, r // q, p) == 1:
             r //= q
     return r

@@ -49,8 +49,3 @@ def product_bruteforce(b: int, p: int) -> int:
         total *= power + 1
     return total % ((b**p - 1) // (b - 1))
 
-
-def fermat_check(p: int) -> bool:
-    """2**(p-1) == 1 (mod p): holds for every odd prime, but also for
-    base-2 pseudoprimes such as 341, so it is necessary, not sufficient."""
-    return pow(2, p - 1, p) == 1

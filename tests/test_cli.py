@@ -178,6 +178,10 @@ class TestBenchCommand:
         assert code == 2
         assert "odd prime" in err
 
+    def test_large_base_gate(self, capsys):
+        assert run_cli(capsys, "bench", "--p", "3", "--b", "5")[0] == 2
+        assert run_cli(capsys, "bench", "--p", "3", "--b", "5", "--allow-large-base")[0] == 0
+
     def test_zero_reps_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--p", "89", "--reps", "0")
         assert code == 2
@@ -196,6 +200,39 @@ class TestBenchCommand:
         assert record["paths_agree"] is True
         assert record["reductions_agree"] is True
         assert record["residue"] == "1"
+
+
+class TestOneKernel:
+    # Every command gets its residues from criterion.evaluate, which looks the
+    # product paths up as module globals; a broken structured path must
+    # therefore show in each of them.
+    @pytest.fixture(autouse=True)
+    def broken_structured_path(self, monkeypatch):
+        monkeypatch.setattr("vantieghem.criterion.product_structured", lambda rm, d: 2)
+
+    def test_test_command(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "test", "--p", "89", "--b", "2", "--path", "both",
+            "--output-format", "structured-record",
+        )
+        assert code == 1
+        assert json.loads(out)["paths_agree"] is False
+
+    def test_paper_example(self, capsys):
+        code, out, _ = run_cli(capsys, "paper-example", "--output-format", "structured-record")
+        assert code == 1
+        assert json.loads(out)["structured_residue"] == "2"
+
+    def test_bench(self, capsys):
+        assert run_cli(capsys, "bench", "--p", "89", "--reps", "1")[0] == 1
+
+    def test_sweep(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--p-min", "3", "--p-max", "11", "--bases", "2",
+            "--output-format", "structured-record",
+        )
+        assert code == 1
+        assert [e["p"] for e in json.loads(out)["failures"]] == ["3", "5", "7", "11"]
 
 
 class TestDeterminism:

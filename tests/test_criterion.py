@@ -9,6 +9,7 @@ from vantieghem.criterion import (
     Path,
     Verdict,
     coset_partial_products,
+    evaluate,
     product_naive,
     product_structured,
     run_test,
@@ -89,6 +90,22 @@ class TestTelescopeCheck:
     @settings(deadline=None)
     def test_always_holds(self, x, r):
         assert telescope_check(x, r)
+
+
+class TestEvaluate:
+    def test_naive_only(self):
+        residues, elapsed = evaluate(build_modulus(2, 9), Path.NAIVE)
+        assert residues == {"naive": 74}
+        assert set(elapsed) == {"naive"}
+
+    def test_both_paths(self):
+        residues, elapsed = evaluate(build_modulus(3, 7), Path.BOTH, decompose(7))
+        assert residues == {"naive": 1, "structured": 1}
+        assert list(elapsed) == ["naive", "structured"]
+
+    def test_structured_needs_decomposition(self):
+        with pytest.raises(PathUnavailable):
+            evaluate(build_modulus(2, 7), Path.STRUCTURED)
 
 
 class TestRunTest:

@@ -106,6 +106,22 @@ class TestCyclotomicPoly:
                     prod = prod * cyclotomic_poly(d)
             assert prod == IntPolynomial.monomial(m) - 1, m
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # The divisibility check must survive python -O, so it is a raise.
+        exact = IntPolynomial.__divmod__
+
+        def leaky(self, other):
+            quo, rem = exact(self, other)
+            return quo, rem + 1
+
+        monkeypatch.setattr(IntPolynomial, "__divmod__", leaky)
+        cyclotomic_poly.cache_clear()
+        try:
+            with pytest.raises(NotDivisible):
+                cyclotomic_poly(6)
+        finally:
+            cyclotomic_poly.cache_clear()
+
     def test_coefficients_can_exceed_one(self):
         # the first -2 coefficient appears at index 105
         coeffs = cyclotomic_poly(105).coeffs

@@ -10,7 +10,6 @@ from vantieghem.modmath import (
     exact_div,
     fold_reduce_pow2,
     mult_order,
-    powmod,
 )
 
 
@@ -58,31 +57,6 @@ class TestExactDiv:
     @given(q=st.integers(min_value=0, max_value=10**30), den=st.integers(min_value=1, max_value=10**15))
     def test_roundtrip(self, q, den):
         assert exact_div(q * den, den) == q
-
-
-class TestPowmod:
-    def test_fermat_little(self):
-        assert powmod(2, 88, 89) == 1
-
-    @pytest.mark.parametrize("x,m", [(0, 2), (1, 2), (7, 9), (123456, 17)])
-    def test_zero_exponent(self, x, m):
-        assert powmod(x, 0, m) == 1
-
-    def test_small_case(self):
-        assert powmod(2, 10, 7) == 2
-
-    @pytest.mark.parametrize("m", [1, 0, -3])
-    def test_rejects_small_modulus(self, m):
-        with pytest.raises(DomainError):
-            powmod(2, 5, m)
-
-    @given(
-        base=st.integers(min_value=0, max_value=50),
-        exp=st.integers(min_value=0, max_value=40),
-        modulus=st.integers(min_value=2, max_value=10**6),
-    )
-    def test_matches_direct_evaluation(self, base, exp, modulus):
-        assert powmod(base, exp, modulus) == base**exp % modulus
 
 
 class TestFoldReducePow2:
@@ -143,7 +117,7 @@ class TestPowBMod:
     def test_matches_unreduced_exponent(self, b, p):
         rm = build_modulus(b, p)
         for n in range(3 * p + 1):
-            assert rm.pow_b_mod(n) == powmod(b, n, rm.M)
+            assert rm.pow_b_mod(n) == pow(b, n, rm.M)
 
 
 class TestMultOrder:

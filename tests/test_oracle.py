@@ -1,11 +1,11 @@
-"""Ground-truth oracles: trial division, exact product, Fermat check."""
+"""Ground-truth oracles: trial division and the exact product."""
 
 import pytest
 
 from vantieghem.errors import DomainError
 from vantieghem.modmath import build_modulus
 from vantieghem.criterion import product_naive
-from vantieghem.oracle import fermat_check, is_prime_trial, product_bruteforce
+from vantieghem.oracle import is_prime_trial, product_bruteforce
 
 
 class TestIsPrimeTrial:
@@ -54,20 +54,3 @@ class TestProductBruteforce:
         for p in range(3, 32, 2):
             for b in range(2, 6):
                 assert product_bruteforce(b, p) == product_naive(build_modulus(b, p)), (b, p)
-
-
-class TestFermatCheck:
-    def test_prime(self):
-        assert fermat_check(89)
-
-    def test_composite(self):
-        assert not fermat_check(9)  # 2**8 = 256 = 4 (mod 9)
-
-    def test_base2_pseudoprime(self):
-        assert 341 == 11 * 31
-        assert fermat_check(341)
-
-    def test_all_primes_to_ten_thousand(self, prime_flags):
-        for p in range(3, 10_001, 2):
-            if prime_flags[p]:
-                assert fermat_check(p), p
