@@ -1,8 +1,8 @@
 """Vantieghem's primality criterion over repunit moduli (b**p - 1)/(b - 1).
 
 Evaluates the product (b + 1)(b**2 + 1)...(b**(p-1) + 1) mod the repunit
-modulus by two independent routes (a direct product and a coset-structured
-telescoping product), builds and validates the underlying coset
+modulus by three independent routes (a direct product, a coset-structured
+telescoping product, and a closed form over the divisors of p), builds and validates the underlying coset
 decomposition, verifies the cyclotomic root-product identity, and ships
 slow brute-force oracles for cross-validation.
 """
@@ -16,6 +16,7 @@ from .criterion import (
     Verdict,
     coset_partial_products,
     evaluate,
+    product_closed,
     product_naive,
     product_structured,
     run_test,
@@ -52,6 +53,7 @@ __all__ = [
     "is_prime_trial",
     "mult_order",
     "product_bruteforce",
+    "product_closed",
     "product_naive",
     "product_structured",
     "run_test",

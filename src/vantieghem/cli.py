@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 = success / criterion consistent, 1 = criterion failure or
-fixture mismatch, 2 = usage or domain error.  Every command takes
+Exit codes: 0 = success / criterion consistent, 1 = criterion failure,
+fixture mismatch or an inexact division (NotDivisible; from a product path
+the error line names b, p and the path), 2 = usage or domain error,
+130 = interrupted (Ctrl-C).  No exit prints a traceback.  Every command takes
 --output-format text|structured-record; structured records are JSON with
 all integers rendered as decimal strings, since values routinely exceed
 native integer width.
@@ -21,7 +23,7 @@ from . import golden
 from .cosets import decompose, verify_partition
 from .criterion import Path, TestReport, Verdict, run_test, sweep
 from .cyclotomic import cyclotomic_poly, verify_lemma
-from .errors import DomainError
+from .errors import DomainError, NotDivisible
 from .modmath import fold_reduce_pow2
 
 BENCH_REDUCTION_SAMPLES = 256
@@ -121,8 +123,9 @@ def cmd_lemma(args: argparse.Namespace) -> int:
     lines = []
     for m in range(2, args.m_max + 1):
         ok = verify_lemma(m)
-        results.append({"m": str(m), "holds": ok, "poly": cyclotomic_poly(m).pretty()})
-        lines.append(f"m={m}: {'ok' if ok else 'FAIL'}  {cyclotomic_poly(m).pretty()}")
+        poly = cyclotomic_poly(m).pretty()
+        results.append({"m": str(m), "holds": ok, "poly": poly})
+        lines.append(f"m={m}: {'ok' if ok else 'FAIL'}  {poly}")
     all_ok = all(r["holds"] for r in results)
     lines.append(f"{len(results)} checked, {'all hold' if all_ok else 'FAILURES above'}")
     _emit(args, {"m_max": str(args.m_max), "all_hold": all_ok, "results": results}, "\n".join(lines))
@@ -139,7 +142,7 @@ def cmd_paper_example(args: argparse.Namespace) -> int:
         and d.cosets == golden.COSETS
         and partition.all_passed
     )
-    report = run_test(golden.BASE, golden.P, Path.BOTH)
+    report = run_test(golden.BASE, golden.P, Path.BOTH, d=d)
     naive, structured = report.residues["naive"], report.residues["structured"]
     residues_ok = naive == structured == golden.EXPECTED_RESIDUE
     ok = fixture_ok and residues_ok
@@ -241,8 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--path",
         choices=tuple(p.value for p in Path),
-        default=Path.NAIVE.value,
-        help="evaluation path (structured/both need prime p; default: naive)",
+        default=Path.CLOSED.value,
+        help="evaluation path: closed form, naive product, structured product, "
+        "or both products (structured/both need prime p; default: closed)",
     )
     s.set_defaults(func=cmd_test)
 
@@ -294,6 +298,12 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotDivisible as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def run() -> None:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .modmath import mult_order
-from .oracle import is_prime_trial
+from .modmath import is_prime, mult_order
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def decompose(p: int) -> CosetDecomposition:
     Composite p is rejected: the partition argument needs p prime (elements
     of a coset would otherwise collide).
     """
-    if p == 2 or not is_prime_trial(p):
+    if p == 2 or not is_prime(p):
         raise DomainError(f"p must be an odd prime, got {p}")
     r = mult_order(2, p)
     two_powers = [1]

@@ -1,4 +1,4 @@
-"""The product criterion, evaluated by two independent paths.
+"""The product criterion, evaluated by three independent paths.
 
 For p > 2 prime and a base 2 <= b <= p-1,
 
@@ -8,10 +8,12 @@ product_naive multiplies the p-1 factors in index order.  product_structured
 regroups them by the coset decomposition of {1, ..., p-1} under doubling:
 within one coset the exponents are a, 2a, 4a, ..., so the factors telescope
 as (y + 1)(y**2 + 1)(y**4 + 1)... with y = b**a mod M, computed by repeated
-squaring; every coset's partial product is itself 1 mod M.  The two paths
-share no loop structure, so their agreement is a test artifact in its own
-right.  For composite p only the naive path is defined, which is what lets
-the sweep probe the converse direction empirically.
+squaring; every coset's partial product is itself 1 mod M.  product_closed
+evaluates the product as a sum over the divisors of p (a root-of-unity
+filter), with no loop over the p-1 factors.  The paths share no loop
+structure, so their agreement is a test artifact in its own right.  For
+composite p the naive and closed paths are defined, which is what lets the
+sweep probe the converse direction empirically.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import time
 from dataclasses import dataclass
 
 from .cosets import CosetDecomposition, decompose
-from .errors import DomainError, PathUnavailable
-from .modmath import RepunitModulus, build_modulus, exact_div
+from .errors import DomainError, NotDivisible, PathUnavailable
+from .modmath import RepunitModulus, build_modulus, decimal_digits, exact_div, factorize, is_prime
 from .oracle import is_prime_trial
 
 
@@ -36,7 +38,13 @@ class Verdict(enum.Enum):
 class Path(enum.Enum):
     NAIVE = "naive"
     STRUCTURED = "structured"
-    BOTH = "both"
+    BOTH = "both"  # naive and structured, the two differential oracles
+    CLOSED = "closed"
+
+    @property
+    def needs_decomposition(self) -> bool:
+        """Whether the path runs the structured product, which needs decompose(p)."""
+        return self in (Path.STRUCTURED, Path.BOTH)
 
 
 def product_naive(rm: RepunitModulus) -> int:
@@ -86,6 +94,40 @@ def product_structured(rm: RepunitModulus, d: CosetDecomposition) -> int:
     return acc
 
 
+def product_closed(rm: RepunitModulus) -> int:
+    """The same product as product_naive, from a closed form over the divisors of p.
+
+    Mod X**p - 1 the product of (1 + X**n), n = 1..p-1, is sum_k N_k X**k,
+    where N_k counts the subsets of {1, ..., p-1} whose sum is k mod p; since
+    b**p == 1 (mod M), the residue is N(b) = sum_k N_k b**k mod M.  A
+    root-of-unity filter (Ramanujan sums; prod_(j<d) (1 + w**j) = 2 for odd d)
+    gives
+
+        p * N(b) = sum_(d|p) 2**(p/d - 1) * sum_(e|d) mu(d/e) * e * (b**p - 1)/(b**e - 1).
+
+    Divisors and Moebius values come from one factorization of p, so this
+    takes O(d(p)**2) big-int operations.  The d = 1 term is 2**(p-1) * M;
+    writing 2**(p-1) = u + p*v, it adds v*M == 0 (mod M) to N(b), so the
+    small u = 2**(p-1) mod p stands in for the power.  For prime p the sum
+    is then u*M + p - M with u = 1 (Fermat), which is p: the residue is 1.
+    Defined for composite p as well.  exact_div raises NotDivisible should p
+    not divide the sum.
+    """
+    b, p = rm.b, rm.p
+    divisors = [1]
+    squarefree = [(1, 1)]  # (s, mu(s)) for every squarefree divisor s of p
+    for q, k in factorize(p):
+        divisors = [x * q**i for x in divisors for i in range(k + 1)]
+        squarefree += [(s * q, -mu) for s, mu in squarefree]
+    quotient = {e: exact_div(rm.B, b**e - 1) for e in divisors if e < p}
+    quotient[p] = 1  # B / B, without recomputing b**p
+    total = pow(2, p - 1, p) * rm.M
+    for d in divisors[1:]:  # divisors[0] = 1 is the u*M above
+        ramanujan = sum(mu * (d // s) * quotient[d // s] for s, mu in squarefree if d % s == 0)
+        total += ramanujan << (p // d - 1)
+    return exact_div(total, p) % rm.M
+
+
 def telescope_check(x: int, r: int) -> bool:
     """(x + 1)(x**2 + 1)...(x**(2**(r-1)) + 1) == (x**(2**r) - 1)/(x - 1).
 
@@ -107,22 +149,30 @@ def evaluate(
 ) -> tuple[dict[str, int], dict[str, float]]:
     """Run the requested path(s) on rm: each path's residue mod M and wall time in ms.
 
-    Both dicts are keyed by path name ("naive", "structured"), naive first.
-    d must be decompose(rm.p) when the structured path runs.  The product
-    functions are looked up as module globals at call time, so a wrapper
-    installed on this module sees every evaluation.
+    Both dicts are keyed by path name ("naive", "structured", "closed"),
+    naive first.  d must be decompose(rm.p) when the structured path runs.
+    The product functions are looked up as module globals at call time, so a
+    wrapper installed on this module sees every evaluation.  A NotDivisible
+    from a path is re-raised naming b, p and the path.
     """
-    if d is None and path is not Path.NAIVE:
+    if d is None and path.needs_decomposition:
         raise PathUnavailable("the structured path needs the coset decomposition of p")
+    runs = (Path.NAIVE, Path.STRUCTURED) if path is Path.BOTH else (path,)
     residues: dict[str, int] = {}
     elapsed: dict[str, float] = {}
-    for single in (Path.NAIVE, Path.STRUCTURED):
-        if path in (single, Path.BOTH):
-            t0 = time.perf_counter()
-            residues[single.value] = (
-                product_naive(rm) if single is Path.NAIVE else product_structured(rm, d)
-            )
-            elapsed[single.value] = (time.perf_counter() - t0) * 1000.0
+    for single in runs:
+        t0 = time.perf_counter()
+        try:
+            if single is Path.NAIVE:
+                residue = product_naive(rm)
+            elif single is Path.STRUCTURED:
+                residue = product_structured(rm, d)
+            else:
+                residue = product_closed(rm)
+        except NotDivisible as exc:
+            raise NotDivisible(f"{single.value} path at b={rm.b}, p={rm.p}: {exc}") from exc
+        residues[single.value] = residue
+        elapsed[single.value] = (time.perf_counter() - t0) * 1000.0
     return residues, elapsed
 
 
@@ -144,8 +194,9 @@ class TestReport:
 
     @property
     def residue(self) -> int:
-        """The naive residue when the naive path ran, else the structured one."""
-        return self.residues.get("naive", self.residues.get("structured"))
+        """The naive residue when the naive path ran, else the structured one, else the closed one."""
+        r = self.residues
+        return r.get("naive", r.get("structured", r.get("closed")))
 
     @property
     def verdict(self) -> Verdict:
@@ -173,29 +224,38 @@ class TestReport:
         }
 
 
-def run_test(b: int, p: int, path: Path = Path.NAIVE, *, allow_large_base: bool = False) -> TestReport:
+def run_test(
+    b: int,
+    p: int,
+    path: Path = Path.CLOSED,
+    *,
+    allow_large_base: bool = False,
+    d: CosetDecomposition | None = None,
+) -> TestReport:
     """Evaluate the criterion for (b, p) along the requested path(s).
 
     The criterion is stated for 2 <= b <= p-1; larger bases are refused
     unless allow_large_base is set (the congruence b**p == 1 mod M holds
     regardless, but results outside the stated range are the caller's
-    interpretation).  The structured path needs prime p.
+    interpretation).  The structured path needs prime p; a caller that
+    already has decompose(p) may pass it as d, which must be for this p.
     """
     rm = build_modulus(b, p)
     if b > p - 1 and not allow_large_base:
         raise DomainError(
             f"base {b} exceeds p-1 = {p - 1}; pass allow_large_base (--allow-large-base) to run anyway"
         )
-    d = None
-    if path is not Path.NAIVE:
-        if not is_prime_trial(p):
-            raise PathUnavailable(f"structured path requires an odd prime p, got composite {p}")
-        d = decompose(p)
+    if path.needs_decomposition and not is_prime(p):
+        raise PathUnavailable(f"structured path requires an odd prime p, got composite {p}")
+    if d is None:
+        d = decompose(p) if path.needs_decomposition else None
+    elif d.p != p:
+        raise DomainError(f"decomposition is for p={d.p}, modulus for p={p}")
     residues, elapsed = evaluate(rm, path, d)
     return TestReport(
         b=b,
         p=p,
-        modulus_digits=len(str(rm.M)),
+        modulus_digits=decimal_digits(rm.M),
         path=path,
         residues=residues,
         elapsed=elapsed,

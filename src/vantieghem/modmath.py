@@ -4,7 +4,9 @@ All values are plain Python ints, so every operation is arbitrary-precision
 and exact.  The one performance trick lives here: reduction mod the Mersenne
 number 2**p - 1 folds p-bit chunks instead of dividing, since 2**p == 1
 (mod 2**p - 1).  Exponents of b are always reduced mod p before powering,
-which is valid because b**p == 1 (mod M).
+which is valid because b**p == 1 (mod M).  Factoring and primality for the
+fast paths are plain trial division here (factorize), kept apart from the
+oracle they are checked against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, NotDivisible
-from .oracle import is_prime_trial
+
+# floor(log10(2) * 10**38).  Integer fixed point, not a float: a float
+# product (bits - 1) * log10(2) already floors wrongly at 146964308 bits.
+LOG10_2_E38 = 30102999566398119521373889472449302676
 
 
 def exact_div(num: int, den: int) -> int:
@@ -78,18 +83,45 @@ def build_modulus(b: int, p: int) -> RepunitModulus:
     return RepunitModulus(b=b, p=p, M=M, B=B)
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorization of n >= 1 as (prime, exponent) pairs, primes ascending.
+
+    Plain trial division by 2 and then by odd d up to sqrt of what is left;
+    factorize(1) is empty.
+    """
+    if n < 1:
+        raise DomainError(f"can only factorize n >= 1, got {n}")
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            k = 0
             while n % d == 0:
                 n //= d
-        d += 1
+                k += 1
+            out.append((d, k))
+        d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, from its factorization (False below 2)."""
+    return n >= 2 and factorize(n) == ((n, 1),)
+
+
+def decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, without the quadratic decimal conversion.
+
+    n has either k or k + 1 digits, where k = floor((bits - 1) * log10(2)) + 1
+    is the digit count of 2**(bits - 1) <= n; one comparison with 10**k
+    decides.
+    """
+    if n < 1:
+        raise DomainError(f"expected a positive integer, got {n}")
+    k = (n.bit_length() - 1) * LOG10_2_E38 // 10**38 + 1
+    return k + (n >= 10**k)
 
 
 def mult_order(g: int, p: int) -> int:
@@ -98,12 +130,12 @@ def mult_order(g: int, p: int) -> int:
     p - 1 is factored by trial division; each prime factor is stripped from
     the exponent while the power stays 1.  The result divides p - 1.
     """
-    if not is_prime_trial(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if g % p == 0:
         raise DomainError(f"{g} is divisible by {p}")
     r = p - 1
-    for q in _distinct_prime_factors(p - 1):
+    for q, _ in factorize(p - 1):
         while r % q == 0 and pow(g, r // q, p) == 1:
             r //= q
     return r

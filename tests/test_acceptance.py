@@ -15,6 +15,7 @@ from vantieghem.cli import main as cli_main
 from vantieghem.cosets import decompose, verify_partition
 from vantieghem.criterion import (
     coset_partial_products,
+    product_closed,
     product_naive,
     product_structured,
     telescope_check,
@@ -174,3 +175,19 @@ def test_criterion_11_performance_smoke(capsys):
     )
     with capsys.disabled():
         report("11 bench p=4423 b=2: paths agree, fold vs generic reported (< 30 s)", ok, elapsed)
+
+
+def test_criterion_12_closed_path_equivalence():
+    t0 = time.perf_counter()
+    mismatches = [
+        (b, p)
+        for p in range(3, 400, 2)
+        for b in (2, 3, 5, 10, 12)
+        if product_closed(build_modulus(b, p)) != product_naive(build_modulus(b, p))
+    ]
+    elapsed = time.perf_counter() - t0
+    report(
+        "12 closed path equals naive path, every odd p < 400 (composites too), b in {2, 3, 5, 10, 12} (< 30 s)",
+        not mismatches and elapsed < 30.0,
+        elapsed,
+    )

@@ -4,14 +4,27 @@ import json
 
 import pytest
 
+import vantieghem.cli as cli
+import vantieghem.criterion as criterion
 from vantieghem import golden
 from vantieghem.cli import main
+from vantieghem.errors import NotDivisible
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def counting(fn, calls):
+    """fn, recording each argument in calls."""
+
+    def wrapper(arg):
+        calls.append(arg)
+        return fn(arg)
+
+    return wrapper
 
 
 class TestTestCommand:
@@ -59,6 +72,51 @@ class TestTestCommand:
     def test_missing_flag_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "test", "--p", "89")
         assert code == 2
+
+    def test_closed_path_is_default(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "test", "--p", "15", "--b", "2", "--output-format", "structured-record"
+        )
+        assert code == 1
+        record = json.loads(out)
+        assert record["path"] == "closed"
+        assert record["residue"] == "15101"
+        assert record["paths_agree"] is None
+        assert set(record["elapsed"]) == {"closed"}
+
+    def test_closed_path_on_prime(self, capsys):
+        code, out, _ = run_cli(capsys, "test", "--p", "89", "--b", "3", "--path", "closed")
+        assert code == 0
+        assert "path: closed" in out
+        assert "residue: 1" in out
+
+    def test_modulus_digits(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "test", "--p", "1279", "--b", "10", "--output-format", "structured-record"
+        )
+        assert code == 0
+        assert json.loads(out)["modulus_digits"] == "1279"
+
+
+class TestErrorMapping:
+    def test_inexact_division_exits_one(self, capsys, monkeypatch):
+        def inexact(rm):
+            raise NotDivisible("15 does not divide 16")
+
+        monkeypatch.setattr(criterion, "product_closed", inexact)
+        code, out, err = run_cli(capsys, "test", "--p", "15", "--b", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: closed path at b=2, p=15: 15 does not divide 16\n"
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(rm):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(criterion, "product_closed", interrupted)
+        code, _, err = run_cli(capsys, "test", "--p", "15", "--b", "2")
+        assert code == 130
+        assert err == "error: interrupted\n"
 
 
 class TestCosetsCommand:
@@ -140,6 +198,14 @@ class TestLemmaCommand:
         code, _, _ = run_cli(capsys, "lemma", "--m-max", "1")
         assert code == 2
 
+    def test_one_polynomial_per_index(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cyclotomic_poly", counting(cli.cyclotomic_poly, calls))
+        code, out, _ = run_cli(capsys, "lemma", "--m-max", "6")
+        assert code == 0
+        assert calls == [2, 3, 4, 5, 6]
+        assert "m=6: ok  X^2 - X + 1" in out
+
 
 class TestPaperExampleCommand:
     def test_passes(self, capsys):
@@ -155,6 +221,14 @@ class TestPaperExampleCommand:
         record = json.loads(out)
         assert record["fixture_match"] is True
         assert record["decomposition"]["reps"] == ["1", "3", "5", "9", "11", "13", "19", "33"]
+
+    def test_decomposes_once(self, capsys, monkeypatch):
+        calls = []
+        counted = counting(cli.decompose, calls)
+        monkeypatch.setattr(cli, "decompose", counted)
+        monkeypatch.setattr(criterion, "decompose", counted)
+        assert run_cli(capsys, "paper-example")[0] == 0
+        assert calls == [89]
 
     def test_tampered_fixture_exits_one(self, capsys, monkeypatch):
         tampered = golden.COSETS[:-1] + ((33, 66, 43, 86, 83, 77, 65, 41, 82, 75, 60),)

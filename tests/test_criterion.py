@@ -1,4 +1,6 @@
-"""Both evaluation paths, the telescoping oracle, run_test, and sweep."""
+"""The three evaluation paths, the telescoping oracle, run_test, and sweep."""
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,15 @@ from vantieghem.criterion import (
     Verdict,
     coset_partial_products,
     evaluate,
+    product_closed,
     product_naive,
     product_structured,
     run_test,
     sweep,
     telescope_check,
 )
-from vantieghem.errors import DomainError, PathUnavailable
-from vantieghem.modmath import build_modulus
+from vantieghem.errors import DomainError, NotDivisible, PathUnavailable
+from vantieghem.modmath import RepunitModulus, build_modulus
 from vantieghem.oracle import product_bruteforce
 
 
@@ -80,6 +83,48 @@ class TestProductStructured:
                 assert partial == 1, p
 
 
+# Known Mersenne-prime exponents (GIMPS list).
+MERSENNE_PRIME_EXPONENTS = (9689, 9941, 11213, 19937, 21701, 23209)
+
+
+class TestProductClosed:
+    # The closed path against the naive path on every odd p < 400, composites
+    # included, is acceptance criterion 12.
+
+    def test_small_values(self):
+        assert product_closed(build_modulus(2, 5)) == 1
+        assert product_closed(build_modulus(3, 5)) == 1
+        assert product_closed(build_modulus(2, 9)) == 74
+        assert product_closed(build_modulus(2, 15)) == 15101
+
+    def test_matches_bruteforce_oracle(self):
+        for p in range(3, 32, 2):
+            for b in range(2, 6):
+                assert product_closed(build_modulus(b, p)) == product_bruteforce(b, p), (b, p)
+
+    def test_prime_powers_and_many_divisors(self):
+        for b, p in [(2, 27), (3, 81), (2, 105), (5, 225), (2, 315), (10, 243)]:
+            rm = build_modulus(b, p)
+            assert product_closed(rm) == product_naive(rm), (b, p)
+
+    @pytest.mark.parametrize("b,p", [(2, q) for q in MERSENNE_PRIME_EXPONENTS] + [(3, 4423)])
+    def test_unit_residue_at_large_primes_in_milliseconds(self, b, p):
+        rm = build_modulus(b, p)
+        t0 = time.perf_counter()
+        residue = product_closed(rm)
+        elapsed = time.perf_counter() - t0
+        assert residue == 1
+        assert elapsed < 0.05, elapsed
+
+    def test_inexact_division_raises(self):
+        # A hand-built modulus whose M disagrees with B by one makes the
+        # filter sum 8 at p = 7; the path must refuse it, not truncate.
+        rm = build_modulus(3, 7)
+        broken = RepunitModulus(b=3, p=7, M=rm.M + 1, B=rm.B)
+        with pytest.raises(NotDivisible, match="7 does not divide 8"):
+            product_closed(broken)
+
+
 class TestTelescopeCheck:
     def test_examples(self):
         assert telescope_check(2, 3)  # 3*5*17 = 255 = (2**8 - 1)/1
@@ -106,6 +151,21 @@ class TestEvaluate:
     def test_structured_needs_decomposition(self):
         with pytest.raises(PathUnavailable):
             evaluate(build_modulus(2, 7), Path.STRUCTURED)
+        with pytest.raises(PathUnavailable):
+            evaluate(build_modulus(2, 7), Path.BOTH)
+
+    def test_closed_needs_no_decomposition(self):
+        residues, elapsed = evaluate(build_modulus(2, 15), Path.CLOSED)
+        assert residues == {"closed": 15101}
+        assert set(elapsed) == {"closed"}
+
+    def test_inexact_division_names_b_p_and_path(self, monkeypatch):
+        def inexact(rm):
+            raise NotDivisible("7 does not divide 8")
+
+        monkeypatch.setattr("vantieghem.criterion.product_closed", inexact)
+        with pytest.raises(NotDivisible, match=r"closed path at b=3, p=7: 7 does not divide 8"):
+            evaluate(build_modulus(3, 7), Path.CLOSED)
 
 
 class TestRunTest:
@@ -128,6 +188,24 @@ class TestRunTest:
         report = run_test(2, 15)
         assert report.residue != 1
         assert report.verdict is Verdict.COMPOSITE_INDICATED
+
+    def test_closed_is_the_default_path(self):
+        report = run_test(2, 15)
+        assert report.path is Path.CLOSED
+        assert report.residues == {"closed": 15101}
+        assert report.residue == 15101
+        assert report.paths_agree is None
+        assert run_test(2, 89).to_record()["path"] == "closed"
+
+    def test_accepts_callers_decomposition(self, monkeypatch):
+        d = decompose(89)
+        monkeypatch.setattr("vantieghem.criterion.decompose", lambda p: pytest.fail("decomposed again"))
+        report = run_test(2, 89, Path.BOTH, d=d)
+        assert report.residues == {"naive": 1, "structured": 1}
+
+    def test_rejects_decomposition_for_another_p(self):
+        with pytest.raises(DomainError, match="decomposition is for p=7"):
+            run_test(2, 89, Path.BOTH, d=decompose(7))
 
     def test_structured_only(self):
         report = run_test(2, 31, Path.STRUCTURED)

@@ -1,4 +1,7 @@
-"""Moduli, special-form reduction, exponentiation, multiplicative order."""
+"""Moduli, special-form reduction, exponentiation, factoring, multiplicative order."""
+
+import math
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,12 @@ from hypothesis import strategies as st
 from vantieghem.errors import DomainError, NotDivisible
 from vantieghem.modmath import (
     build_modulus,
+    decimal_digits,
     exact_div,
+    factorize,
     fold_reduce_pow2,
+    LOG10_2_E38,
+    is_prime,
     mult_order,
 )
 
@@ -152,3 +159,75 @@ class TestMultOrder:
                 assert pow(2, r // q, p) != 1
                 while rr % q == 0:
                     rr //= q
+
+
+class TestFactorize:
+    def test_small_cases(self):
+        assert factorize(1) == ()
+        assert factorize(2) == ((2, 1),)
+        assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+        assert factorize(89) == ((89, 1),)
+        assert factorize(3**9) == ((3, 9),)
+        assert factorize(2 * 4423) == ((2, 1), (4423, 1))
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_below_one(self, n):
+        with pytest.raises(DomainError):
+            factorize(n)
+
+    def test_recomposes_with_prime_ascending_factors(self, prime_flags):
+        for n in range(1, 3000):
+            factors = factorize(n)
+            product = 1
+            for q, k in factors:
+                assert prime_flags[q] and k >= 1
+                product *= q**k
+            assert product == n
+            assert [q for q, _ in factors] == sorted({q for q, _ in factors})
+
+    def test_is_prime_matches_sieve(self, prime_flags):
+        assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
+        for n in range(2, 5000):
+            assert is_prime(n) == bool(prime_flags[n]), n
+
+
+HIGH_PRECISION = Context(prec=80)
+
+
+class TestDecimalDigits:
+    @pytest.mark.parametrize("p", [3, 5, 89, 1279, 4423])
+    def test_base_ten_repunit_has_p_digits(self, p):
+        assert decimal_digits(build_modulus(10, p).M) == p
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 17, 100, 308, 1000])
+    def test_next_to_powers_of_ten(self, k):
+        for n in (10**k - 1, 10**k, 10**k + 1, 2 * 10**k, 10 ** (k + 1) - 1):
+            assert decimal_digits(n) == len(str(n)), n
+
+    def test_next_to_powers_of_two(self):
+        for bits in range(1, 400):
+            for n in (2 ** (bits - 1), 2**bits - 1):
+                assert decimal_digits(n) == len(str(n)), n
+
+    @pytest.mark.parametrize("b", [2, 3, 5, 10, 12])
+    @pytest.mark.parametrize("p", [3, 9, 89, 127, 1285, 2089])
+    def test_repunit_moduli(self, b, p):
+        M = build_modulus(b, p).M
+        assert decimal_digits(M) == len(str(M))
+
+    def test_estimate_exact_where_a_float_would_floor_wrongly(self):
+        # (bits - 1) * log10(2) lies within 3.2e-9 of an integer at
+        # 146964308 bits, closer than a float product can resolve.
+        for bits in (146964308 + 1, 345060773 + 1):
+            assert int((bits - 1) * math.log10(2)) != (bits - 1) * LOG10_2_E38 // 10**38
+            exact = HIGH_PRECISION.multiply(bits - 1, Decimal(2).log10(HIGH_PRECISION))
+            assert (bits - 1) * LOG10_2_E38 // 10**38 == int(exact)
+
+    @given(st.integers(min_value=1, max_value=10**200))
+    def test_matches_str(self, n):
+        assert decimal_digits(n) == len(str(n))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_non_positive(self, n):
+        with pytest.raises(DomainError):
+            decimal_digits(n)
