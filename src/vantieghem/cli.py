@@ -47,11 +47,13 @@ def _base_list(text: str) -> list[int]:
     return bases
 
 
-def _emit(args: argparse.Namespace, record: dict, text: str) -> None:
+def _emit(args: argparse.Namespace, record: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the requested format, building only that one: a large residue's
+    str() is quadratic in its digits, so building both would pay for it twice."""
     if args.output_format == "structured-record":
-        print(json.dumps(record))
+        print(json.dumps(record()))
     else:
-        print(text)
+        print(text())
 
 
 def _format_test_report(report: TestReport) -> str:
@@ -72,7 +74,7 @@ def _format_test_report(report: TestReport) -> str:
 
 def cmd_test(args: argparse.Namespace) -> int:
     report = run_test(args.b, args.p, Path(args.path), allow_large_base=args.allow_large_base)
-    _emit(args, report.to_record(), _format_test_report(report))
+    _emit(args, report.to_record, lambda: _format_test_report(report))
     if report.paths_agree is False:
         return 1
     return 0 if report.verdict is Verdict.PRIME_CONSISTENT else 1
@@ -81,7 +83,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_cosets(args: argparse.Namespace) -> int:
     d = decompose(args.p)
     header = f"p = {d.p}: order of 2 is r = {d.r}, k = {d.k} cosets\nreps: {', '.join(str(a) for a in d.reps)}"
-    _emit(args, d.to_record(), header + "\n" + d.to_table())
+    _emit(args, d.to_record, lambda: header + "\n" + d.to_table())
     return 0
 
 
@@ -92,43 +94,52 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError("bases must all be >= 2")
     report = sweep(args.p_min, args.p_max, args.bases, allow_large_base=args.allow_large_base)
     failures = report.failures()
-    anomalies = report.anomalies()
-    lines = [
-        f"swept odd p in [{args.p_min}, {args.p_max}], bases {', '.join(str(b) for b in report.bases)}",
-        f"entries: {len(report.entries)}  agreements: {report.agreement_count}  "
-        f"disagreements: {len(report.mismatches())}",
-    ]
-    for e in failures:
-        lines.append(f"FAILURE p={e.p} b={e.b} prime={e.prime} residue_one={e.residue_one}")
-    for e in anomalies:
-        lines.append(f"note: composite p={e.p} gave residue 1 at base {e.b} (converse untested there)")
-    if args.per_p:
-        for e in report.entries:
-            mark = "ok" if e.verdict_matches else "MISMATCH"
-            lines.append(
-                f"p={e.p} b={e.b} prime={'y' if e.prime else 'n'} "
-                f"residue_one={'y' if e.residue_one else 'n'} {mark}"
-            )
-    record = report.to_record()
-    if not args.per_p:
-        del record["entries"]
-    _emit(args, record, "\n".join(lines))
+
+    def record() -> dict:
+        out = report.to_record()
+        if not args.per_p:
+            del out["entries"]
+        return out
+
+    def text() -> str:
+        lines = [
+            f"swept odd p in [{args.p_min}, {args.p_max}], bases {', '.join(str(b) for b in report.bases)}",
+            f"entries: {len(report.entries)}  agreements: {report.agreement_count}  "
+            f"disagreements: {len(report.mismatches())}",
+        ]
+        for e in failures:
+            lines.append(f"FAILURE p={e.p} b={e.b} prime={e.prime} residue_one={e.residue_one}")
+        for e in report.anomalies():
+            lines.append(f"note: composite p={e.p} gave residue 1 at base {e.b} (converse untested there)")
+        if args.per_p:
+            for e in report.entries:
+                mark = "ok" if e.verdict_matches else "MISMATCH"
+                lines.append(
+                    f"p={e.p} b={e.b} prime={'y' if e.prime else 'n'} "
+                    f"residue_one={'y' if e.residue_one else 'n'} {mark}"
+                )
+        return "\n".join(lines)
+
+    _emit(args, record, text)
     return 0 if not failures else 1
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
     if args.m_max < 2:
         raise DomainError(f"m-max must be >= 2, got {args.m_max}")
-    results = []
-    lines = []
-    for m in range(2, args.m_max + 1):
-        ok = verify_lemma(m)
-        poly = cyclotomic_poly(m).pretty()
-        results.append({"m": str(m), "holds": ok, "poly": poly})
-        lines.append(f"m={m}: {'ok' if ok else 'FAIL'}  {poly}")
-    all_ok = all(r["holds"] for r in results)
-    lines.append(f"{len(results)} checked, {'all hold' if all_ok else 'FAILURES above'}")
-    _emit(args, {"m_max": str(args.m_max), "all_hold": all_ok, "results": results}, "\n".join(lines))
+    rows = [(m, verify_lemma(m), cyclotomic_poly(m).pretty()) for m in range(2, args.m_max + 1)]
+    all_ok = all(ok for _, ok, _ in rows)
+
+    def record() -> dict:
+        results = [{"m": str(m), "holds": ok, "poly": poly} for m, ok, poly in rows]
+        return {"m_max": str(args.m_max), "all_hold": all_ok, "results": results}
+
+    def text() -> str:
+        lines = [f"m={m}: {'ok' if ok else 'FAIL'}  {poly}" for m, ok, poly in rows]
+        lines.append(f"{len(rows)} checked, {'all hold' if all_ok else 'FAILURES above'}")
+        return "\n".join(lines)
+
+    _emit(args, record, text)
     return 0 if all_ok else 1
 
 
@@ -147,23 +158,27 @@ def cmd_paper_example(args: argparse.Namespace) -> int:
     residues_ok = naive == structured == golden.EXPECTED_RESIDUE
     ok = fixture_ok and residues_ok
 
-    lines = [
-        f"p = {golden.P}, b = {golden.BASE}: order of 2 is r = {d.r}, k = {d.k} cosets",
-        d.to_table(),
-        f"reps: {', '.join(str(a) for a in d.reps)}",
-        f"naive residue: {naive}",
-        f"structured residue: {structured}",
-        f"fixture match: {'yes' if ok else 'NO'}",
-    ]
-    record = {
-        "p": str(golden.P),
-        "b": str(golden.BASE),
-        "decomposition": d.to_record(),
-        "naive_residue": str(naive),
-        "structured_residue": str(structured),
-        "fixture_match": ok,
-    }
-    _emit(args, record, "\n".join(lines))
+    def record() -> dict:
+        return {
+            "p": str(golden.P),
+            "b": str(golden.BASE),
+            "decomposition": d.to_record(),
+            "naive_residue": str(naive),
+            "structured_residue": str(structured),
+            "fixture_match": ok,
+        }
+
+    def text() -> str:
+        return "\n".join([
+            f"p = {golden.P}, b = {golden.BASE}: order of 2 is r = {d.r}, k = {d.k} cosets",
+            d.to_table(),
+            f"reps: {', '.join(str(a) for a in d.reps)}",
+            f"naive residue: {naive}",
+            f"structured residue: {structured}",
+            f"fixture match: {'yes' if ok else 'NO'}",
+        ])
+
+    _emit(args, record, text)
     return 0 if ok else 1
 
 
@@ -174,26 +189,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     reports = [
         run_test(b, p, Path.BOTH, allow_large_base=args.allow_large_base) for _ in range(args.reps)
     ]
-    naive_ms = [r.elapsed["naive"] for r in reports]
-    structured_ms = [r.elapsed["structured"] for r in reports]
+    naive_ms = statistics.mean(r.elapsed["naive"] for r in reports)
+    structured_ms = statistics.mean(r.elapsed["structured"] for r in reports)
     agree = len({x for r in reports for x in r.residues.values()}) == 1
     residue = reports[-1].residue
 
-    lines = [
-        f"p = {p}, b = {b}, modulus digits = {reports[-1].modulus_digits}, reps = {args.reps}",
-        f"naive:      mean {statistics.mean(naive_ms):10.3f} ms",
-        f"structured: mean {statistics.mean(structured_ms):10.3f} ms",
-    ]
-    record = {
-        "p": str(p),
-        "b": str(b),
-        "reps": str(args.reps),
-        "naive_ms": statistics.mean(naive_ms),
-        "structured_ms": statistics.mean(structured_ms),
-    }
-
     # Reduction micro-benchmark: fold vs generic remainder on identical
     # inputs, meaningful only for the Mersenne case b = 2.
+    reduction: dict = {}
     if b == 2:
         mersenne = (1 << p) - 1
         rng = random.Random(BENCH_SEED)
@@ -205,16 +208,37 @@ def cmd_bench(args: argparse.Namespace) -> int:
         generic = [x % mersenne for x in xs]
         generic_us = (time.perf_counter() - t0) * 1e6 / len(xs)
         agree = agree and folded == generic
-        lines.append(f"reduce (fold):    {fold_us:10.3f} us/call")
-        lines.append(f"reduce (generic): {generic_us:10.3f} us/call")
-        record["fold_us_per_call"] = fold_us
-        record["generic_us_per_call"] = generic_us
-        record["reductions_agree"] = folded == generic
+        reduction = {
+            "fold_us_per_call": fold_us,
+            "generic_us_per_call": generic_us,
+            "reductions_agree": folded == generic,
+        }
 
-    lines.append(f"residue: {residue}  paths agree: {'yes' if agree else 'NO'}")
-    record["residue"] = str(residue)
-    record["paths_agree"] = agree
-    _emit(args, record, "\n".join(lines))
+    def record() -> dict:
+        return {
+            "p": str(p),
+            "b": str(b),
+            "reps": str(args.reps),
+            "naive_ms": naive_ms,
+            "structured_ms": structured_ms,
+            **reduction,
+            "residue": str(residue),
+            "paths_agree": agree,
+        }
+
+    def text() -> str:
+        lines = [
+            f"p = {p}, b = {b}, modulus digits = {reports[-1].modulus_digits}, reps = {args.reps}",
+            f"naive:      mean {naive_ms:10.3f} ms",
+            f"structured: mean {structured_ms:10.3f} ms",
+        ]
+        if reduction:
+            lines.append(f"reduce (fold):    {reduction['fold_us_per_call']:10.3f} us/call")
+            lines.append(f"reduce (generic): {reduction['generic_us_per_call']:10.3f} us/call")
+        lines.append(f"residue: {residue}  paths agree: {'yes' if agree else 'NO'}")
+        return "\n".join(lines)
+
+    _emit(args, record, text)
     return 0 if agree else 1
 
 
@@ -272,7 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.set_defaults(func=cmd_paper_example)
 
-    s = sub.add_parser("bench", parents=[shared], help="time both paths and the two reduction strategies")
+    s = sub.add_parser(
+        "bench",
+        parents=[shared],
+        help="time both product paths (the rotation kernel for b = 2**k) and, for b = 2, "
+        "the two reduction strategies",
+    )
     s.add_argument("--p", type=_nonnegative_int, required=True, help="odd prime")
     s.add_argument("--b", type=_nonnegative_int, default=2, help="base (default 2)")
     s.add_argument("--reps", type=_nonnegative_int, default=5, help="repetitions per path (default 5)")

@@ -14,6 +14,14 @@ filter), with no loop over the p-1 factors.  The paths share no loop
 structure, so their agreement is a test artifact in its own right.  For
 composite p the naive and closed paths are defined, which is what lets the
 sweep probe the converse direction empirically.
+
+The naive and structured paths do their arithmetic through the ring
+operations of RepunitModulus.  For b = 2**k the ring holds b**n as its
+exponent n and multiplies by b**n + 1 with a bit rotation and an add, so
+the naive path steps the exponent n = 1, 2, ..., p-1 and the structured
+path doubles it mod p, walking each coset a, 2a, 4a, ... mod p; at
+b = 2, p = 9941 each path takes about 25 ms instead of about 300 ms.  Other
+bases multiply and reduce mod M at every step.
 """
 
 from __future__ import annotations
@@ -50,35 +58,38 @@ class Path(enum.Enum):
 def product_naive(rm: RepunitModulus) -> int:
     """The full product mod M, one factor per step.
 
-    b**n is carried by a single multiplication by b per step, and every
-    multiplication is followed by a reduction, so intermediates stay below
-    M**2.  Defined for composite p as well.
+    b**n is carried from n - 1 by one step of the ring (a multiplication by b
+    and a reduction, or for b = 2**k an exponent increment), and each factor
+    b**n + 1 is one ring multiplication (multiply and reduce, or for b = 2**k
+    a rotation and an add), so intermediates stay below M**2, or for b = 2**k
+    within kp bits.  Defined for composite p as well.
     """
     acc = 1
-    y = 1
+    y = rm.power(0)
     for _ in range(1, rm.p):
-        y = rm.reduce(y * rm.b)
-        acc = rm.reduce(acc * (y + 1))
-    return acc
+        y = rm.times_b(y)
+        acc = rm.times_factor(acc, y)
+    return rm.residue(acc)
 
 
 def coset_partial_products(rm: RepunitModulus, d: CosetDecomposition) -> tuple[int, ...]:
     """The per-coset products, each mod M; for prime p each one equals 1.
 
     Coset i contributes (y + 1)(y**2 + 1)...(y**(2**(r-1)) + 1) with
-    y = b**a_i mod M: r - 1 squarings and r multiplications, reducing after
-    every multiplication.
+    y = b**a_i: r - 1 squarings and r ring multiplications.  For b = 2**k a
+    squaring doubles the exponent mod p, so the exponents walked are the
+    coset's elements a_i * 2**j mod p, in the order of d.cosets.
     """
     if d.p != rm.p:
         raise DomainError(f"decomposition is for p={d.p}, modulus for p={rm.p}")
     partials = []
     for a in d.reps:
-        y = rm.pow_b_mod(a)
-        partial = rm.reduce(y + 1)
+        y = rm.power(a)
+        partial = rm.times_factor(1, y)
         for _ in range(d.r - 1):
-            y = rm.reduce(y * y)
-            partial = rm.reduce(partial * (y + 1))
-        partials.append(partial)
+            y = rm.square(y)
+            partial = rm.times_factor(partial, y)
+        partials.append(rm.residue(partial))
     return tuple(partials)
 
 

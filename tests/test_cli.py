@@ -1,8 +1,11 @@
 """Command-line surface: flags, exit codes, text and structured output."""
 
 import json
+import re
+import time
 
 import pytest
+from test_criterion import MERSENNE_PRIME_EXPONENTS
 
 import vantieghem.cli as cli
 import vantieghem.criterion as criterion
@@ -96,6 +99,59 @@ class TestTestCommand:
         )
         assert code == 0
         assert json.loads(out)["modulus_digits"] == "1279"
+
+
+class TestMersennePrimeExponents:
+    @pytest.mark.parametrize("p", MERSENNE_PRIME_EXPONENTS)
+    def test_both_product_paths_give_one(self, capsys, p):
+        code, out, _ = run_cli(
+            capsys, "test", "--b", "2", "--p", str(p), "--path", "both",
+            "--output-format", "structured-record",
+        )
+        record = json.loads(out)
+        assert (code, record["residue"], record["paths_agree"]) == (0, "1", True)
+
+    def test_both_paths_at_9941_under_300_ms(self, capsys):
+        # A loose guard: the rotation kernel takes tens of milliseconds here,
+        # full-size multiplies about half a second.
+        t0 = time.perf_counter()
+        code, _, _ = run_cli(
+            capsys, "test", "--b", "2", "--p", "9941", "--path", "both",
+            "--output-format", "structured-record",
+        )
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert elapsed < 0.3, elapsed
+
+
+class TestOutputFormats:
+    # _emit builds only the requested format: a residue's str() is quadratic.
+    def test_structured_record_never_formats_text(self, capsys, monkeypatch):
+        def refuse(report):
+            raise AssertionError("text formatted for a structured record")
+
+        monkeypatch.setattr(cli, "_format_test_report", refuse)
+        code, out, _ = run_cli(
+            capsys, "test", "--b", "2", "--p", "7", "--path", "both",
+            "--output-format", "structured-record",
+        )
+        assert code == 0
+        assert json.loads(out)["residue"] == "1"
+
+    def test_text_never_builds_record(self, capsys, monkeypatch):
+        def refuse(report):
+            raise AssertionError("record built for text output")
+
+        monkeypatch.setattr(criterion.TestReport, "to_record", refuse)
+        assert run_cli(capsys, "test", "--b", "2", "--p", "7", "--path", "both")[0] == 0
+
+    def test_text_output_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "test", "--b", "2", "--p", "7", "--path", "both")
+        assert code == 0
+        assert re.sub(r"\d+\.\d{3} ms", "T ms", out) == (
+            "b: 2\np: 7\nmodulus digits: 3\npath: both\nresidue: 1\n"
+            "verdict: prime-consistent\npaths agree: yes\nnaive: T ms\nstructured: T ms\n"
+        )
 
 
 class TestErrorMapping:

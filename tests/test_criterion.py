@@ -83,6 +83,39 @@ class TestProductStructured:
                 assert partial == 1, p
 
 
+class TestPowerOfTwoBases:
+    # For b = 2**k both product paths run on the ring's rotation kernel, so
+    # they are checked here against the closed form and the brute-force
+    # product, which share no code with it.
+    @pytest.mark.parametrize("b", [2, 4, 8, 16])
+    def test_paths_against_closed_form_and_oracle(self, b, prime_flags):
+        for p in range(max(3, b + 1) | 1, 200, 2):
+            rm = build_modulus(b, p)
+            naive = product_naive(rm)
+            assert naive == product_closed(rm), (b, p)
+            if p <= 64:
+                assert naive == product_bruteforce(b, p), (b, p)
+            if prime_flags[p]:
+                d = decompose(p)
+                assert product_structured(rm, d) == naive, (b, p)
+                assert set(coset_partial_products(rm, d)) == {1}, (b, p)
+
+    @pytest.mark.parametrize("b,reductions", [(4, 1), (8, 1), (3, 200), (10, 200)])
+    def test_reductions_per_naive_product(self, b, reductions, monkeypatch):
+        # One reduction mod M at the end for b = 2**k; one per multiplication
+        # (two per factor) for other bases.
+        calls = []
+        reduce = RepunitModulus.reduce
+
+        def counting(rm, x):
+            calls.append(x)
+            return reduce(rm, x)
+
+        monkeypatch.setattr(RepunitModulus, "reduce", counting)
+        product_naive(build_modulus(b, 101))
+        assert len(calls) == reductions
+
+
 # Known Mersenne-prime exponents (GIMPS list).
 MERSENNE_PRIME_EXPONENTS = (9689, 9941, 11213, 19937, 21701, 23209)
 

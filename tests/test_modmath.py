@@ -110,6 +110,42 @@ class TestReduce:
             assert 0 <= got < rm.M
 
 
+class TestRing:
+    # The ring operations the product paths use, against their definitions
+    # mod M; b = 2**k takes the rotation kernel, other bases multiply and reduce.
+    @pytest.mark.parametrize("b,p", [(2, 7), (2, 89), (4, 11), (8, 9), (16, 13), (3, 7), (10, 5), (6, 9)])
+    def test_operations_match_definitions(self, b, p):
+        rm = build_modulus(b, p)
+        for n in range(2 * p + 1):
+            y = rm.power(n)
+            assert rm.residue(rm.times_factor(1, y)) == (b**n + 1) % rm.M
+            assert rm.residue(rm.times_factor(1, rm.times_b(y))) == (b ** (n + 1) + 1) % rm.M
+            assert rm.residue(rm.times_factor(1, rm.square(y))) == (b ** (2 * n) + 1) % rm.M
+
+    @given(
+        st.sampled_from([(2, 5), (2, 61), (4, 31), (8, 15), (16, 7), (32, 3), (3, 11), (12, 5)]).flatmap(
+            lambda bp: st.tuples(
+                st.just(bp),
+                st.integers(min_value=0, max_value=bp[0] ** bp[1] - 1),
+                st.integers(min_value=0, max_value=3 * bp[1]),
+            )
+        )
+    )
+    @settings(deadline=None)
+    def test_times_factor_is_multiplication(self, case):
+        (b, p), x, n = case
+        rm = build_modulus(b, p)
+        # Ring values are below M for general b and in [0, B] for b = 2**k.
+        x = x if rm.log2_b else x % rm.M
+        got = rm.times_factor(x, rm.power(n))
+        assert 0 <= got <= rm.B
+        assert rm.residue(got) == x * (b**n + 1) % rm.M
+
+    @pytest.mark.parametrize("b,k", [(2, 1), (4, 2), (8, 3), (1024, 10), (3, 0), (6, 0), (10, 0), (12, 0)])
+    def test_kernel_chosen_by_power_of_two_base(self, b, k):
+        assert build_modulus(b, 3).log2_b == k
+
+
 class TestPowBMod:
     def test_exponent_p_wraps_to_one(self):
         assert build_modulus(2, 5).pow_b_mod(5) == 1
