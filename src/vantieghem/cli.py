@@ -278,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=_nonnegative_int, required=True, help="odd prime")
     s.set_defaults(func=cmd_cosets)
 
-    s = sub.add_parser("sweep", parents=[shared], help="compare verdicts with trial division over a range")
+    s = sub.add_parser("sweep", parents=[shared], help="compare verdicts with a sieve's primality over a range")
     s.add_argument("--p-min", type=_nonnegative_int, required=True)
     s.add_argument("--p-max", type=_nonnegative_int, required=True)
     s.add_argument("--bases", type=_base_list, required=True, help="comma-separated bases, each >= 2")

@@ -13,7 +13,9 @@ evaluates the product as a sum over the divisors of p (a root-of-unity
 filter), with no loop over the p-1 factors.  The paths share no loop
 structure, so their agreement is a test artifact in its own right.  For
 composite p the naive and closed paths are defined, which is what lets the
-sweep probe the converse direction empirically.
+sweep probe the converse direction empirically: it takes a composite p's
+residue from the closed path alone, and runs naive and structured on every
+prime p as each other's differential oracle.
 
 The naive and structured paths do their arithmetic through the ring
 operations of RepunitModulus.  For b = 2**k the ring holds b**n as its
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from .cosets import CosetDecomposition, decompose
 from .errors import DomainError, NotDivisible, PathUnavailable
 from .modmath import RepunitModulus, build_modulus, decimal_digits, exact_div, factorize, is_prime
-from .oracle import is_prime_trial
+from .oracle import prime_table
 
 
 class Verdict(enum.Enum):
@@ -301,10 +303,11 @@ class SweepEntry:
 class SweepReport:
     """Tabulated verdicts for every odd p in range and every base.
 
-    Entries are in (p, b) order.  A mismatch (verdict disagrees with trial
-    division) is a hard failure when p is prime, when b = 2, or when the two
-    paths disagree; a composite giving residue 1 with b > 2 is listed as an
-    anomaly only, since the converse is not established for such bases.
+    Entries are in (p, b) order.  A mismatch (verdict disagrees with the
+    sieve's primality) is a hard failure when p is prime, when b = 2, or
+    when the naive and structured paths of a prime p disagree; a composite
+    giving residue 1 with b > 2, by the closed path, is listed as an anomaly
+    only, since the converse is not established for such bases.
     """
 
     p_min: int
@@ -359,8 +362,11 @@ def sweep(
     """Run the criterion for every odd p in [p_min, p_max] and every base.
 
     Bases below 2 are ignored; bases above p-1 are skipped per p unless
-    allow_large_base is set.  For prime p both paths run and must agree; for
-    composite p only the naive product is defined.  An empty range yields an
+    allow_large_base is set.  Primality comes from one sieve up to p_max.
+    For prime p the naive and structured paths both run and must agree, and
+    residue_one is the naive residue's; for composite p the closed path
+    alone gives the residue, in O(d(p)**2) big-int operations instead of
+    p - 1 ring steps, and paths_agree is None.  An empty range yields an
     empty report.  Entries come out in (p, b) order regardless of how the
     work is scheduled.
     """
@@ -369,16 +375,18 @@ def sweep(
     start = max(p_min, 3)
     if start % 2 == 0:
         start += 1
+    primes = prime_table(max(p_max, 0))
     for p in range(start, p_max + 1, 2):
-        prime = is_prime_trial(p)
+        prime = bool(primes[p])
         d = decompose(p) if prime else None
+        path, key = (Path.BOTH, "naive") if prime else (Path.CLOSED, "closed")
         for b in wanted:
             if b > p - 1 and not allow_large_base:
                 continue
-            residues, _ = evaluate(build_modulus(b, p), Path.BOTH if prime else Path.NAIVE, d)
-            naive = residues["naive"]
-            agree = residues["structured"] == naive if prime else None
+            residues, _ = evaluate(build_modulus(b, p), path, d)
+            residue = residues[key]
+            agree = residues["structured"] == residue if prime else None
             entries.append(
-                SweepEntry(p=p, b=b, prime=prime, residue_one=naive == 1, paths_agree=agree)
+                SweepEntry(p=p, b=b, prime=prime, residue_one=residue == 1, paths_agree=agree)
             )
     return SweepReport(p_min=p_min, p_max=p_max, bases=wanted, entries=tuple(entries))

@@ -1,9 +1,10 @@
 """Slow, independent ground truth used only for cross-validation.
 
 These routines deliberately share no code with the fast paths elsewhere in
-the package: primality is plain trial division, and the product criterion is
-evaluated as one exact integer with a single reduction at the very end.
-Agreement with the fast paths is therefore meaningful evidence.
+the package: primality is plain trial division or a sieve of Eratosthenes,
+and the product criterion is evaluated as one exact integer with a single
+reduction at the very end.  Agreement with the fast paths is therefore
+meaningful evidence.
 """
 
 from math import isqrt
@@ -26,6 +27,18 @@ def is_prime_trial(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+def prime_table(limit: int) -> bytearray:
+    """Sieve of Eratosthenes: table[n] == 1 exactly when n is prime, for 0 <= n <= limit."""
+    if limit < 0:
+        raise DomainError(f"sieve limit must be >= 0, got {limit}")
+    table = bytearray([1]) * (limit + 1)
+    table[:2] = bytes(len(table[:2]))
+    for n in range(2, isqrt(limit) + 1):
+        if table[n]:
+            table[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
+    return table
 
 
 def product_bruteforce(b: int, p: int) -> int:

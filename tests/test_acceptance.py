@@ -18,6 +18,7 @@ from vantieghem.criterion import (
     product_closed,
     product_naive,
     product_structured,
+    sweep,
     telescope_check,
 )
 from vantieghem.cyclotomic import IntPolynomial, cyclotomic_poly, verify_lemma
@@ -188,6 +189,29 @@ def test_criterion_12_closed_path_equivalence():
     elapsed = time.perf_counter() - t0
     report(
         "12 closed path equals naive path, every odd p < 400 (composites too), b in {2, 3, 5, 10, 12} (< 30 s)",
+        not mismatches and elapsed < 30.0,
+        elapsed,
+    )
+
+
+def test_criterion_13_sweep_composites_every_base(odd_composites_500):
+    # The sweep takes a composite p's verdict from the closed path alone; test
+    # 12 checks that path against the naive one at five bases, this at every
+    # base the sweep's evidence covers.
+    t0 = time.perf_counter()
+    mismatches = []
+    for p in (n for n in odd_composites_500 if n < 400):
+        entries = sweep(p, p, tuple(range(2, 13))).entries
+        if [e.b for e in entries] != list(range(2, min(p - 1, 12) + 1)):
+            mismatches.append((p, "bases"))
+        for e in entries:
+            rm = build_modulus(e.b, p)
+            naive = product_naive(rm)
+            if e.residue_one != (naive == 1) or e.paths_agree is not None or product_closed(rm) != naive:
+                mismatches.append((e.b, p))
+    elapsed = time.perf_counter() - t0
+    report(
+        "13 sweep verdict and closed path equal naive path, every odd composite p < 400, b in [2, min(p-1, 12)] (< 30 s)",
         not mismatches and elapsed < 30.0,
         elapsed,
     )

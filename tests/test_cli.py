@@ -335,11 +335,13 @@ class TestBenchCommand:
 class TestOneKernel:
     # Every command gets its residues from criterion.evaluate, which looks the
     # product paths up as module globals; a broken structured path must
-    # therefore show in each of them.
-    @pytest.fixture(autouse=True)
+    # therefore show in each of them, and a broken closed path in the sweep's
+    # composites.
+    @pytest.fixture
     def broken_structured_path(self, monkeypatch):
         monkeypatch.setattr("vantieghem.criterion.product_structured", lambda rm, d: 2)
 
+    @pytest.mark.usefixtures("broken_structured_path")
     def test_test_command(self, capsys):
         code, out, _ = run_cli(
             capsys, "test", "--p", "89", "--b", "2", "--path", "both",
@@ -348,14 +350,17 @@ class TestOneKernel:
         assert code == 1
         assert json.loads(out)["paths_agree"] is False
 
+    @pytest.mark.usefixtures("broken_structured_path")
     def test_paper_example(self, capsys):
         code, out, _ = run_cli(capsys, "paper-example", "--output-format", "structured-record")
         assert code == 1
         assert json.loads(out)["structured_residue"] == "2"
 
+    @pytest.mark.usefixtures("broken_structured_path")
     def test_bench(self, capsys):
         assert run_cli(capsys, "bench", "--p", "89", "--reps", "1")[0] == 1
 
+    @pytest.mark.usefixtures("broken_structured_path")
     def test_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--p-min", "3", "--p-max", "11", "--bases", "2",
@@ -363,6 +368,15 @@ class TestOneKernel:
         )
         assert code == 1
         assert [e["p"] for e in json.loads(out)["failures"]] == ["3", "5", "7", "11"]
+
+    def test_sweep_closed_path(self, capsys, monkeypatch):
+        monkeypatch.setattr("vantieghem.criterion.product_closed", lambda rm: 1)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--p-min", "3", "--p-max", "15", "--bases", "2",
+            "--output-format", "structured-record",
+        )
+        assert code == 1
+        assert [e["p"] for e in json.loads(out)["failures"]] == ["9", "15"]
 
 
 class TestDeterminism:

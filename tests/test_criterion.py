@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vantieghem.criterion as criterion
 from vantieghem.cosets import decompose
 from vantieghem.criterion import (
     Path,
@@ -280,6 +281,16 @@ class TestRunTest:
         assert set(record["elapsed"]) == {"naive", "structured"}
 
 
+def _counting(fn, calls):
+    """A product path fn, recording the modulus of each call in calls."""
+
+    def wrapper(rm, *rest):
+        calls.append(rm)
+        return fn(rm, *rest)
+
+    return wrapper
+
+
 class TestSweep:
     def test_base_two_up_to_200(self, prime_flags):
         report = sweep(3, 200, [2])
@@ -315,6 +326,36 @@ class TestSweep:
         report = sweep(3, 30, [5, 2, 3])
         keys = [(e.p, e.b) for e in report.entries]
         assert keys == sorted(keys)
+
+    def test_composites_run_the_closed_path_alone(self, monkeypatch):
+        closed = []
+
+        def no_naive(rm):
+            raise AssertionError(f"naive path ran at b={rm.b}, p={rm.p}")
+
+        monkeypatch.setattr(criterion, "product_naive", no_naive)
+        monkeypatch.setattr(criterion, "product_closed", _counting(product_closed, closed))
+        report = sweep(25, 27, [2, 3, 5])
+        pairs = [(e.p, e.b) for e in report.entries]
+        assert pairs == [(25, 2), (25, 3), (25, 5), (27, 2), (27, 3), (27, 5)]
+        assert [(rm.p, rm.b) for rm in closed] == pairs
+        assert all(e.paths_agree is None and not e.residue_one for e in report.entries)
+
+    def test_primes_run_naive_and_structured(self, monkeypatch):
+        naive, structured = [], []
+
+        def no_closed(rm):
+            raise AssertionError(f"closed path ran at b={rm.b}, p={rm.p}")
+
+        monkeypatch.setattr(criterion, "product_closed", no_closed)
+        monkeypatch.setattr(criterion, "product_naive", _counting(product_naive, naive))
+        monkeypatch.setattr(criterion, "product_structured", _counting(product_structured, structured))
+        report = sweep(11, 13, [2, 3, 5])
+        pairs = [(e.p, e.b) for e in report.entries]
+        assert pairs == [(11, 2), (11, 3), (11, 5), (13, 2), (13, 3), (13, 5)]
+        assert [(rm.p, rm.b) for rm in naive] == pairs
+        assert [(rm.p, rm.b) for rm in structured] == pairs
+        assert all(e.paths_agree is True and e.residue_one for e in report.entries)
 
     def test_record_shape(self):
         record = sweep(3, 9, [2]).to_record()

@@ -5,7 +5,7 @@ import pytest
 from vantieghem.errors import DomainError
 from vantieghem.modmath import build_modulus
 from vantieghem.criterion import product_naive
-from vantieghem.oracle import is_prime_trial, product_bruteforce
+from vantieghem.oracle import is_prime_trial, prime_table, product_bruteforce
 
 
 class TestIsPrimeTrial:
@@ -29,6 +29,26 @@ class TestIsPrimeTrial:
         # second, independent sieve of Eratosthenes up to 1e5 (conftest)
         for n in range(100_001):
             assert is_prime_trial(n) == bool(prime_flags[n]), n
+
+
+class TestPrimeTable:
+    def test_agrees_with_trial_division(self):
+        table = prime_table(20_000)
+        assert len(table) == 20_001
+        assert (table[0], table[1], table[2]) == (0, 0, 1)
+        for n in range(20_001):
+            assert table[n] == is_prime_trial(n), n
+
+    @pytest.mark.parametrize(
+        "limit,expected",
+        [(0, [0]), (1, [0, 0]), (2, [0, 0, 1]), (9, [0, 0, 1, 1, 0, 1, 0, 1, 0, 0])],
+    )
+    def test_small_limits(self, limit, expected):
+        assert list(prime_table(limit)) == expected
+
+    def test_negative_limit(self):
+        with pytest.raises(DomainError):
+            prime_table(-1)
 
 
 class TestProductBruteforce:
