@@ -3,8 +3,9 @@
 Evaluates the product (b + 1)(b**2 + 1)...(b**(p-1) + 1) mod the repunit
 modulus by three independent routes (a direct product, a coset-structured
 telescoping product, and a closed form over the divisors of p), builds and validates the underlying coset
-decomposition, verifies the cyclotomic root-product identity, and ships
-slow brute-force oracles for cross-validation.
+decomposition, verifies the cyclotomic root-product identity (expanded mod
+Y**m - 1 by rotations, then reduced once mod the m-th cyclotomic polynomial),
+and ships slow brute-force oracles for cross-validation.
 """
 
 from .cosets import CosetDecomposition, VerificationReport, decompose, verify_partition
@@ -23,7 +24,7 @@ from .criterion import (
     sweep,
     telescope_check,
 )
-from .cyclotomic import IntPolynomial, ResiduePolynomial, cyclotomic_poly, verify_lemma
+from .cyclotomic import IntPolynomial, cyclotomic_poly, verify_lemma
 from .errors import DomainError, NotDivisible, PathUnavailable
 from .modmath import RepunitModulus, build_modulus, fold_reduce_pow2, mult_order
 from .oracle import is_prime_trial, product_bruteforce
@@ -38,7 +39,6 @@ __all__ = [
     "Path",
     "PathUnavailable",
     "RepunitModulus",
-    "ResiduePolynomial",
     "SweepEntry",
     "SweepReport",
     "TestReport",

@@ -1,10 +1,13 @@
 """Cyclotomic polynomials over the integers, and the root-product check.
 
 The check: the product of (X - Y**d) over 1 <= d <= m with gcd(d, m) = 1,
-with Y-coefficients reduced mod the m-th cyclotomic polynomial in Y, must
-collapse to the m-th cyclotomic polynomial in X with constant coefficients.
-verify_lemma() performs that reduction exactly, interleaving it with the
-product expansion so Y-degrees never grow past the totient of m.
+with Y-coefficients reduced mod the m-th cyclotomic polynomial Phi_m(Y), must
+collapse to Phi_m(X) with constant coefficients.  verify_lemma() expands the
+product in Z[Y]/(Y**m - 1), where multiplying by Y**d is a cyclic rotation of
+a length-m coefficient list, and reduces each X-coefficient mod Phi_m(Y) once
+at the end.  That is exact because Phi_m(Y) divides Y**m - 1, so reduction
+mod Phi_m(Y) is a ring homomorphism out of Z[Y]/(Y**m - 1).  The cost is
+about totient(m)**2 * m integer operations; no coefficient bound is assumed.
 
 This is the only module where negative integers appear; cyclotomic
 polynomials have signed coefficients (the first -2 shows up at m = 105).
@@ -13,8 +16,10 @@ polynomials have signed coefficients (the first -2 shows up at m = 105).
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
+from operator import sub
 
 from .errors import DomainError, NotDivisible
 
@@ -189,51 +194,32 @@ def cyclotomic_poly(m: int) -> IntPolynomial:
     return poly
 
 
-@dataclass(frozen=True)
-class ResiduePolynomial:
-    """Polynomial in X whose coefficients live in Z[Y] mod a fixed modulus.
+def root_product(m: int, exponents: Iterable[int], modulus: IntPolynomial) -> tuple[IntPolynomial, ...]:
+    """X-coefficients of the product of (X - Y**d) over exponents, each mod modulus.
 
-    x_coeffs[i] is the Y-polynomial multiplying X**i, always reduced to
-    degree below deg(modulus).
+    The product is expanded in Z[Y]/(Y**m - 1): every X-coefficient is a
+    length-m list of ints, and multiplying by Y**d rotates that list by d.
+    Each coefficient is then reduced once mod modulus, which must divide
+    Y**m - 1 (such as the m-th cyclotomic polynomial in Y), so the result
+    equals the product expanded in Z[Y] and reduced mod modulus.
     """
-
-    modulus: IntPolynomial
-    x_coeffs: tuple[IntPolynomial, ...]
-
-    @staticmethod
-    def one(modulus: IntPolynomial) -> ResiduePolynomial:
-        return ResiduePolynomial(modulus, (IntPolynomial.constant(1),))
-
-    def times_x_minus(self, y_value: IntPolynomial) -> ResiduePolynomial:
-        """Multiply by (X - y_value), reducing every Y-coefficient."""
-        y_value = y_value % self.modulus
-        width = len(self.x_coeffs) + 1
-        out = [IntPolynomial(())] * width
-        for i, c in enumerate(self.x_coeffs):
-            out[i + 1] = out[i + 1] + c
-            out[i] = (out[i] - y_value * c) % self.modulus
-        return ResiduePolynomial(self.modulus, tuple(out))
-
-    def equals_constants(self, poly: IntPolynomial) -> bool:
-        """True when every Y-coefficient is constant and matches poly."""
-        if len(self.x_coeffs) != len(poly.coeffs):
-            return False
-        return all(
-            c == IntPolynomial.constant(poly[i]) for i, c in enumerate(self.x_coeffs)
-        )
+    zero = [0] * m
+    acc = [[1] + zero[1:]]
+    for d in exponents:
+        # Row i of acc * (X - Y**d) is row i-1 minus row i rotated by d.
+        s = -d % m
+        acc = [list(map(sub, hi, lo[s:] + lo[:s])) for hi, lo in zip([zero] + acc, acc)] + [acc[-1]]
+    return tuple(IntPolynomial(tuple(c)) % modulus for c in acc)
 
 
 def verify_lemma(m: int) -> bool:
-    """Expand the product of (X - Y**d) over units d mod m and compare.
+    """Check that the product of (X - Y**d) over units d mod m is Phi_m(X) mod Phi_m(Y).
 
-    Y-powers are reduced mod the m-th cyclotomic polynomial in Y after every
-    factor, keeping intermediate Y-degrees below totient(m).  Returns whether
-    the result equals the m-th cyclotomic polynomial in X with constant
-    Y-coefficients.  Intended for m >= 2.
+    root_product() expands the product mod Y**m - 1 and reduces each
+    X-coefficient once mod the m-th cyclotomic polynomial in Y.  Returns
+    whether every reduced coefficient is the constant that the m-th
+    cyclotomic polynomial in X has there.  Intended for m >= 2.
     """
     target = cyclotomic_poly(m)
-    acc = ResiduePolynomial.one(target)
-    for d in range(1, m + 1):
-        if gcd(d, m) == 1:
-            acc = acc.times_x_minus(IntPolynomial.monomial(d))
-    return acc.equals_constants(target)
+    units = (d for d in range(1, m + 1) if gcd(d, m) == 1)
+    return root_product(m, units, target) == tuple(IntPolynomial.constant(c) for c in target.coeffs)

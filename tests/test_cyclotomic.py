@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vantieghem import cyclotomic
 from vantieghem.cyclotomic import (
     IntPolynomial,
-    ResiduePolynomial,
     cyclotomic_poly,
+    root_product,
     verify_lemma,
 )
 from vantieghem.errors import DomainError, NotDivisible
@@ -17,6 +18,37 @@ from vantieghem.errors import DomainError, NotDivisible
 
 def totient(m: int) -> int:
     return sum(1 for d in range(1, m + 1) if gcd(d, m) == 1)
+
+
+def units(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if gcd(d, m) == 1]
+
+
+def expand_unreduced(exponents) -> list[IntPolynomial]:
+    """X-coefficients of the product of (X - Y**d) in Z[Y][X], no reduction at all."""
+    acc = [IntPolynomial.constant(1)]
+    for d in exponents:
+        out = [IntPolynomial(())] * (len(acc) + 1)
+        for i, c in enumerate(acc):
+            out[i + 1] = out[i + 1] + c
+            out[i] = out[i] - IntPolynomial.monomial(d) * c
+        acc = out
+    return acc
+
+
+@pytest.fixture
+def lemma_on(monkeypatch):
+    """Run verify_lemma(m) with its list of units passed through change() first."""
+    real = cyclotomic.root_product
+
+    def run(m, change):
+        def changed(m, exponents, modulus):
+            return real(m, change(list(exponents)), modulus)
+
+        monkeypatch.setattr(cyclotomic, "root_product", changed)
+        return verify_lemma(m)
+
+    return run
 
 
 class TestIntPolynomial:
@@ -129,19 +161,66 @@ class TestCyclotomicPoly:
         assert coeffs[41] == -2
 
 
-class TestResiduePolynomial:
+class TestRootProduct:
     def test_cube_roots_of_unity_case(self):
         # (X - Y)(X - Y**2) with Y**2 = -Y - 1: collapses to X**2 + X + 1
-        phi3 = cyclotomic_poly(3)
-        acc = ResiduePolynomial.one(phi3)
-        acc = acc.times_x_minus(IntPolynomial.monomial(1))
-        acc = acc.times_x_minus(IntPolynomial.monomial(2))
-        assert acc.equals_constants(phi3)
+        one = IntPolynomial.constant(1)
+        assert root_product(3, [1, 2], cyclotomic_poly(3)) == (one, one, one)
 
-    def test_non_matching_polynomial(self):
-        phi3 = cyclotomic_poly(3)
-        acc = ResiduePolynomial.one(phi3).times_x_minus(IntPolynomial.monomial(1))
-        assert not acc.equals_constants(phi3)
+    def test_single_factor_does_not_match(self):
+        assert root_product(3, [1], cyclotomic_poly(3)) == (-IntPolynomial.x(), IntPolynomial.constant(1))
+
+    @pytest.mark.parametrize(
+        "exponent_set",
+        [
+            units,
+            lambda m: [d + 1 for d in units(m)],
+            lambda m: units(m) + [m],
+        ],
+        ids=["units", "shifted", "non-unit-added"],
+    )
+    def test_matches_full_expansion(self, exponent_set):
+        # The oracle multiplies out in Z[Y][X] and reduces each coefficient
+        # once at the end; it never reduces mod Y**m - 1.
+        for m in range(2, 31):
+            phi = cyclotomic_poly(m)
+            exponents = exponent_set(m)
+            expected = tuple(c % phi for c in expand_unreduced(exponents))
+            assert root_product(m, exponents, phi) == expected, m
+
+    @given(
+        m=st.integers(min_value=1, max_value=12),
+        exponents=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+    )
+    def test_any_exponents_any_divisor_of_y_m_minus_one(self, m, exponents):
+        for modulus in (cyclotomic_poly(m), IntPolynomial.monomial(m) - 1):
+            expected = tuple(c % modulus for c in expand_unreduced(exponents))
+            assert root_product(m, exponents, modulus) == expected
+
+
+class TestNegativeControls:
+    """verify_lemma must fail when its exponent set is anything but the units."""
+
+    MS = (2, 3, 4, 6, 7, 9, 12, 15, 30)
+
+    @pytest.mark.parametrize("m", MS)
+    def test_units_unchanged(self, m, lemma_on):
+        assert lemma_on(m, lambda us: us)
+
+    @pytest.mark.parametrize("m", MS)
+    def test_one_unit_dropped(self, m, lemma_on):
+        for i in range(totient(m)):
+            assert not lemma_on(m, lambda us: us[:i] + us[i + 1 :]), i
+
+    @pytest.mark.parametrize("m", MS)
+    def test_one_non_unit_added(self, m, lemma_on):
+        for extra in range(1, m + 1):
+            if gcd(extra, m) != 1:
+                assert not lemma_on(m, lambda us: us + [extra]), extra
+
+    @pytest.mark.parametrize("m", MS)
+    def test_every_exponent_shifted(self, m, lemma_on):
+        assert not lemma_on(m, lambda us: [d + 1 for d in us])
 
 
 class TestVerifyLemma:
@@ -158,3 +237,21 @@ class TestVerifyLemma:
     def test_range_to_twelve(self):
         for m in range(2, 13):
             assert verify_lemma(m), m
+
+    def test_first_index_with_a_minus_two(self):
+        assert verify_lemma(105)
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 30, 105])
+    def test_one_reduction_per_x_coefficient(self, m, monkeypatch):
+        target = cyclotomic_poly(m)  # warm the cache: only the check is counted
+        calls = []
+        exact = IntPolynomial.__divmod__
+
+        def counted(self, other):
+            calls.append(other)
+            return exact(self, other)
+
+        monkeypatch.setattr(IntPolynomial, "__divmod__", counted)
+        assert verify_lemma(m)
+        assert len(calls) == len(target.coeffs) == totient(m) + 1
+        assert all(modulus == target for modulus in calls)
