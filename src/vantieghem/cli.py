@@ -153,7 +153,7 @@ def cmd_paper_example(args: argparse.Namespace) -> int:
         and d.cosets == golden.COSETS
         and partition.all_passed
     )
-    report = run_test(golden.BASE, golden.P, Path.BOTH, d=d)
+    report = run_test(golden.BASE, golden.P, Path.BOTH)
     naive, structured = report.residues["naive"], report.residues["structured"]
     residues_ok = naive == structured == golden.EXPECTED_RESIDUE
     ok = fixture_ok and residues_ok

@@ -9,6 +9,7 @@ itself; when 2 is a primitive root (r = p-1) there is a single coset.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -86,6 +87,7 @@ class VerificationReport:
         return record
 
 
+@functools.lru_cache(maxsize=1)
 def decompose(p: int) -> CosetDecomposition:
     """Decompose {1, ..., p-1} into cosets of <2> for an odd prime p.
 
@@ -93,6 +95,13 @@ def decompose(p: int) -> CosetDecomposition:
     bitmap, so each is the smallest number not in any earlier coset.
     Composite p is rejected: the partition argument needs p prime (elements
     of a coset would otherwise collide).
+
+    The last result is kept (it is frozen).  The structured product path
+    calls this for every (b, p) it evaluates, and callers ask for one p
+    several times in a row (sweep: p outer, bases inner; paper-example: the
+    fixture check, then the paths; bench: its repetitions).  One entry is
+    enough to compute each decomposition once, and it holds no O(p) tables
+    for the primes a long sweep has already passed.
     """
     if p == 2 or not is_prime(p):
         raise DomainError(f"p must be an odd prime, got {p}")

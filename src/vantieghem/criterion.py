@@ -5,13 +5,15 @@ For p > 2 prime and a base 2 <= b <= p-1,
     (b + 1)(b**2 + 1) ... (b**(p-1) + 1)  ==  1   (mod (b**p - 1)/(b - 1)).
 
 product_naive multiplies the p-1 factors in index order.  product_structured
-regroups them by the coset decomposition of {1, ..., p-1} under doubling:
-within one coset the exponents are a, 2a, 4a, ..., so the factors telescope
-as (y + 1)(y**2 + 1)(y**4 + 1)... with y = b**a mod M, computed by repeated
+regroups them by the coset decomposition of {1, ..., p-1} under doubling,
+which it derives from p itself with decompose(p): within one coset the
+exponents are a, 2a, 4a, ..., so the factors telescope as
+(y + 1)(y**2 + 1)(y**4 + 1)... with y = b**a mod M, computed by repeated
 squaring; every coset's partial product is itself 1 mod M.  product_closed
 evaluates the product as a sum over the divisors of p (a root-of-unity
 filter), with no loop over the p-1 factors.  The paths share no loop
-structure, so their agreement is a test artifact in its own right.  For
+structure, so their agreement is a test artifact in its own right.  Every
+path is a function of the ring alone, product_<name>(rm) -> int.  For
 composite p the naive and closed paths are defined, which is what lets the
 sweep probe the converse direction empirically: it takes a composite p's
 residue from the closed path alone, and runs naive and structured on every
@@ -32,7 +34,7 @@ import enum
 import time
 from dataclasses import dataclass
 
-from .cosets import CosetDecomposition, decompose
+from .cosets import decompose
 from .errors import DomainError, NotDivisible, PathUnavailable
 from .modmath import RepunitModulus, build_modulus, decimal_digits, exact_div, factorize, is_prime
 from .oracle import prime_table
@@ -50,11 +52,6 @@ class Path(enum.Enum):
     STRUCTURED = "structured"
     BOTH = "both"  # naive and structured, the two differential oracles
     CLOSED = "closed"
-
-    @property
-    def needs_decomposition(self) -> bool:
-        """Whether the path runs the structured product, which needs decompose(p)."""
-        return self in (Path.STRUCTURED, Path.BOTH)
 
 
 def product_naive(rm: RepunitModulus) -> int:
@@ -74,16 +71,17 @@ def product_naive(rm: RepunitModulus) -> int:
     return rm.residue(acc)
 
 
-def coset_partial_products(rm: RepunitModulus, d: CosetDecomposition) -> tuple[int, ...]:
+def coset_partial_products(rm: RepunitModulus) -> tuple[int, ...]:
     """The per-coset products, each mod M; for prime p each one equals 1.
 
-    Coset i contributes (y + 1)(y**2 + 1)...(y**(2**(r-1)) + 1) with
-    y = b**a_i: r - 1 squarings and r ring multiplications.  For b = 2**k a
-    squaring doubles the exponent mod p, so the exponents walked are the
-    coset's elements a_i * 2**j mod p, in the order of d.cosets.
+    The cosets are d = decompose(rm.p), so rm.p must be an odd prime
+    (decompose raises DomainError otherwise).  Coset i contributes
+    (y + 1)(y**2 + 1)...(y**(2**(r-1)) + 1) with y = b**a_i: r - 1
+    squarings and r ring multiplications.  For b = 2**k a squaring doubles
+    the exponent mod p, so the exponents walked are the coset's elements
+    a_i * 2**j mod p, in the order of d.cosets.
     """
-    if d.p != rm.p:
-        raise DomainError(f"decomposition is for p={d.p}, modulus for p={rm.p}")
+    d = decompose(rm.p)
     partials = []
     for a in d.reps:
         y = rm.power(a)
@@ -95,14 +93,14 @@ def coset_partial_products(rm: RepunitModulus, d: CosetDecomposition) -> tuple[i
     return tuple(partials)
 
 
-def product_structured(rm: RepunitModulus, d: CosetDecomposition) -> int:
+def product_structured(rm: RepunitModulus) -> int:
     """The same product as product_naive, regrouped coset by coset.
 
-    Requires d = decompose(rm.p), hence prime p.  Equal to product_naive
-    because the cosets partition {1, ..., p-1}.
+    Requires prime p, since the cosets are decompose(rm.p).  Equal to
+    product_naive because the cosets partition {1, ..., p-1}.
     """
     acc = 1
-    for partial in coset_partial_products(rm, d):
+    for partial in coset_partial_products(rm):
         acc = rm.reduce(acc * partial)
     return acc
 
@@ -157,31 +155,27 @@ def telescope_check(x: int, r: int) -> bool:
     return lhs == exact_div(power - 1, x - 1)
 
 
-def evaluate(
-    rm: RepunitModulus, path: Path, d: CosetDecomposition | None = None
-) -> tuple[dict[str, int], dict[str, float]]:
+def evaluate(rm: RepunitModulus, path: Path) -> tuple[dict[str, int], dict[str, float]]:
     """Run the requested path(s) on rm: each path's residue mod M and wall time in ms.
 
     Both dicts are keyed by path name ("naive", "structured", "closed"),
-    naive first.  d must be decompose(rm.p) when the structured path runs.
-    The product functions are looked up as module globals at call time, so a
+    naive first.  The structured path needs prime rm.p.  The table from Path
+    to product function is built from the module globals at call time, so a
     wrapper installed on this module sees every evaluation.  A NotDivisible
     from a path is re-raised naming b, p and the path.
     """
-    if d is None and path.needs_decomposition:
-        raise PathUnavailable("the structured path needs the coset decomposition of p")
+    products = {
+        Path.NAIVE: product_naive,
+        Path.STRUCTURED: product_structured,
+        Path.CLOSED: product_closed,
+    }
     runs = (Path.NAIVE, Path.STRUCTURED) if path is Path.BOTH else (path,)
     residues: dict[str, int] = {}
     elapsed: dict[str, float] = {}
     for single in runs:
         t0 = time.perf_counter()
         try:
-            if single is Path.NAIVE:
-                residue = product_naive(rm)
-            elif single is Path.STRUCTURED:
-                residue = product_structured(rm, d)
-            else:
-                residue = product_closed(rm)
+            residue = products[single](rm)
         except NotDivisible as exc:
             raise NotDivisible(f"{single.value} path at b={rm.b}, p={rm.p}: {exc}") from exc
         residues[single.value] = residue
@@ -243,28 +237,24 @@ def run_test(
     path: Path = Path.CLOSED,
     *,
     allow_large_base: bool = False,
-    d: CosetDecomposition | None = None,
 ) -> TestReport:
     """Evaluate the criterion for (b, p) along the requested path(s).
 
     The criterion is stated for 2 <= b <= p-1; larger bases are refused
     unless allow_large_base is set (the congruence b**p == 1 mod M holds
     regardless, but results outside the stated range are the caller's
-    interpretation).  The structured path needs prime p; a caller that
-    already has decompose(p) may pass it as d, which must be for this p.
+    interpretation).  The structured path needs prime p, and is refused
+    for composite p before any path runs; it builds the coset decomposition
+    of p itself.
     """
     rm = build_modulus(b, p)
     if b > p - 1 and not allow_large_base:
         raise DomainError(
             f"base {b} exceeds p-1 = {p - 1}; pass allow_large_base (--allow-large-base) to run anyway"
         )
-    if path.needs_decomposition and not is_prime(p):
+    if path in (Path.STRUCTURED, Path.BOTH) and not is_prime(p):
         raise PathUnavailable(f"structured path requires an odd prime p, got composite {p}")
-    if d is None:
-        d = decompose(p) if path.needs_decomposition else None
-    elif d.p != p:
-        raise DomainError(f"decomposition is for p={d.p}, modulus for p={p}")
-    residues, elapsed = evaluate(rm, path, d)
+    residues, elapsed = evaluate(rm, path)
     return TestReport(
         b=b,
         p=p,
@@ -378,12 +368,11 @@ def sweep(
     primes = prime_table(max(p_max, 0))
     for p in range(start, p_max + 1, 2):
         prime = bool(primes[p])
-        d = decompose(p) if prime else None
         path, key = (Path.BOTH, "naive") if prime else (Path.CLOSED, "closed")
         for b in wanted:
             if b > p - 1 and not allow_large_base:
                 continue
-            residues, _ = evaluate(build_modulus(b, p), path, d)
+            residues, _ = evaluate(build_modulus(b, p), path)
             residue = residues[key]
             agree = residues["structured"] == residue if prime else None
             entries.append(

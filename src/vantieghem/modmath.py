@@ -1,20 +1,20 @@
 """Exact arithmetic around the repunit modulus M = (b**p - 1)/(b - 1).
 
 All values are plain Python ints, so every operation is arbitrary-precision
-and exact.  The product paths' two performance tricks live here.  For a
+and exact.  The product paths' performance trick lives here.  For a
 power-of-two base b = 2**k, RepunitModulus computes in Z/B with
 B = b**p - 1 = 2**(kp) - 1, a multiple of M, where multiplying by a factor
 b**n + 1 is a rotation of kp bits plus an add: about 1 us per factor at
 kp = 4441 against about 18 us for a multiply and a reduction, so the
 b = 2, p = 4441 naive product takes about 7 ms instead of about 45 ms
 (2-core host, CPython 3.11).  Such products are reduced mod M once per
-returned value.  That reduction, and every reduction for b = 2 outside
-the kernel, folds p-bit chunks instead of dividing, since 2**p == 1
-(mod 2**p - 1).  Other bases multiply and take the remainder mod M at each
-step.  Exponents of b are always reduced mod p before powering, which is
-valid because b**p == 1 (mod M).  Factoring and primality for the fast
-paths are plain trial division here (factorize), kept apart from the oracle
-they are checked against.
+returned value.  Other bases multiply and take the remainder mod M at each
+step.  Every reduction is the plain remainder x % M; fold_reduce_pow2, which
+reduces mod 2**p - 1 by folding p-bit chunks instead of dividing, is kept
+for the bench command's comparison of the two.  Exponents of b are always
+reduced mod p before powering, which is valid because b**p == 1 (mod M).
+Factoring and primality for the fast paths are plain trial division here
+(factorize), kept apart from the oracle they are checked against.
 """
 
 from __future__ import annotations
@@ -77,18 +77,12 @@ class RepunitModulus:
         object.__setattr__(self, "log2_b", self.b.bit_length() - 1 if self.b & (self.b - 1) == 0 else 0)
 
     def reduce(self, x: int) -> int:
-        """x mod M.  Folds by B = 2**p - 1 when b = 2 (there M = B)."""
-        if self.b == 2:
-            return fold_reduce_pow2(x, self.p)
+        """x mod M."""
         return x % self.M
-
-    def pow_b_mod(self, n: int) -> int:
-        """b**n mod M, computed as b**(n mod p) since b**p == 1 (mod M)."""
-        return pow(self.b, n % self.p, self.M)
 
     def power(self, n: int) -> int:
         """The ring's form of b**n: the exponent n mod p when b = 2**k, else b**n mod M."""
-        return n % self.p if self.log2_b else self.pow_b_mod(n)
+        return n % self.p if self.log2_b else pow(self.b, n % self.p, self.M)
 
     def times_b(self, y: int) -> int:
         """power(n + 1), given y = power(n)."""

@@ -42,7 +42,7 @@ def test_criterion_01_golden_example(capsys):
         and d.cosets == golden.COSETS
     )
     rm = build_modulus(2, 89)
-    residues_ok = product_naive(rm) == 1 and product_structured(rm, d) == 1
+    residues_ok = product_naive(rm) == 1 and product_structured(rm) == 1
     cli_code = cli_main(["paper-example"])
     capsys.readouterr()
     elapsed = time.perf_counter() - t0
@@ -83,10 +83,9 @@ def test_criterion_03_empirical_converse(odd_composites_500):
 def test_criterion_04_path_equivalence(odd_primes_500):
     ok = True
     for p in odd_primes_500:
-        d = decompose(p)
         for b in (2, 3, 10):
             rm = build_modulus(b, p)
-            if product_structured(rm, d) != product_naive(rm):
+            if product_structured(rm) != product_naive(rm):
                 ok = False
     report("04 structured path equals naive path, p <= 500, b in {2, 3, 10}", ok)
 
@@ -96,7 +95,7 @@ def test_criterion_05_per_coset_unity(odd_primes_500):
     for p in odd_primes_500:
         if p > 200:
             break
-        partials = coset_partial_products(build_modulus(2, p), decompose(p))
+        partials = coset_partial_products(build_modulus(2, p))
         if any(partial != 1 for partial in partials):
             ok = False
     report("05 every coset partial product is 1 mod M, p <= 200, b = 2", ok)

@@ -8,6 +8,7 @@ import pytest
 from test_criterion import MERSENNE_PRIME_EXPONENTS
 
 import vantieghem.cli as cli
+import vantieghem.cosets as cosets
 import vantieghem.criterion as criterion
 from vantieghem import golden
 from vantieghem.cli import main
@@ -28,6 +29,25 @@ def counting(fn, calls):
         return fn(arg)
 
     return wrapper
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The p of every coset decomposition computed, in order.
+
+    Counted as cosets.mult_order calls, the work inside decompose, so memo
+    hits do not count; the memo is cleared first.
+    """
+    calls = []
+    mult_order = cosets.mult_order
+
+    def counted(g, p):
+        calls.append(p)
+        return mult_order(g, p)
+
+    cosets.decompose.cache_clear()
+    monkeypatch.setattr(cosets, "mult_order", counted)
+    return calls
 
 
 class TestTestCommand:
@@ -53,6 +73,13 @@ class TestTestCommand:
         code, _, err = run_cli(capsys, "test", "--p", "9", "--b", "2", "--path", "structured")
         assert code == 2
         assert "structured path requires" in err
+
+    def test_both_on_composite_exits_two_before_any_path(self, capsys, monkeypatch):
+        monkeypatch.setattr(criterion, "product_naive", lambda rm: pytest.fail("naive path ran"))
+        code, out, err = run_cli(capsys, "test", "--p", "15", "--b", "2", "--path", "both")
+        assert code == 2
+        assert out == ""
+        assert err == "error: structured path requires an odd prime p, got composite 15\n"
 
     def test_large_base_gate(self, capsys):
         code, _, _ = run_cli(capsys, "test", "--p", "3", "--b", "5")
@@ -238,6 +265,13 @@ class TestSweepCommand:
         assert record["disagreements"] == "0"
         assert "entries" not in record  # only included with --per-p
 
+    def test_decomposes_once_per_prime(self, capsys, decompositions, prime_flags):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--p-min", "3", "--p-max", "301", "--bases", "2,3,5,7,10,12"
+        )
+        assert code == 0
+        assert decompositions == [p for p in range(3, 302, 2) if prime_flags[p]]
+
 
 class TestLemmaCommand:
     def test_up_to_thirty(self, capsys):
@@ -278,13 +312,9 @@ class TestPaperExampleCommand:
         assert record["fixture_match"] is True
         assert record["decomposition"]["reps"] == ["1", "3", "5", "9", "11", "13", "19", "33"]
 
-    def test_decomposes_once(self, capsys, monkeypatch):
-        calls = []
-        counted = counting(cli.decompose, calls)
-        monkeypatch.setattr(cli, "decompose", counted)
-        monkeypatch.setattr(criterion, "decompose", counted)
+    def test_decomposes_once(self, capsys, decompositions):
         assert run_cli(capsys, "paper-example")[0] == 0
-        assert calls == [89]
+        assert decompositions == [89]
 
     def test_tampered_fixture_exits_one(self, capsys, monkeypatch):
         tampered = golden.COSETS[:-1] + ((33, 66, 43, 86, 83, 77, 65, 41, 82, 75, 60),)
@@ -302,6 +332,10 @@ class TestBenchCommand:
         assert "residue: 1" in out
         assert "reduce (fold)" in out
         assert "reduce (generic)" in out
+
+    def test_decomposes_once(self, capsys, decompositions):
+        assert run_cli(capsys, "bench", "--p", "89", "--reps", "3")[0] == 0
+        assert decompositions == [89]
 
     def test_composite_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--p", "91")
@@ -339,7 +373,7 @@ class TestOneKernel:
     # composites.
     @pytest.fixture
     def broken_structured_path(self, monkeypatch):
-        monkeypatch.setattr("vantieghem.criterion.product_structured", lambda rm, d: 2)
+        monkeypatch.setattr("vantieghem.criterion.product_structured", lambda rm: 2)
 
     @pytest.mark.usefixtures("broken_structured_path")
     def test_test_command(self, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vantieghem.criterion as criterion
-from vantieghem.cosets import decompose
 from vantieghem.criterion import (
     Path,
     Verdict,
@@ -51,36 +50,39 @@ class TestProductNaive:
 
 class TestProductStructured:
     def test_single_coset(self):
-        assert product_structured(build_modulus(2, 5), decompose(5)) == 1
+        assert product_structured(build_modulus(2, 5)) == 1
 
     def test_two_cosets_with_unit_partials(self):
         rm = build_modulus(2, 7)
-        partials = coset_partial_products(rm, decompose(7))
+        partials = coset_partial_products(rm)
         assert partials == (1, 1)  # 3*5*17 = 255 and 9*65*33 = 19305, both 1 mod 127
-        assert product_structured(rm, decompose(7)) == 1
+        assert product_structured(rm) == 1
 
     def test_worked_example(self):
-        assert product_structured(build_modulus(2, 89), decompose(89)) == 1
+        assert product_structured(build_modulus(2, 89)) == 1
 
-    def test_mismatched_decomposition_rejected(self):
-        with pytest.raises(DomainError):
-            product_structured(build_modulus(2, 5), decompose(7))
+    def test_composite_p_rejected(self):
+        # The cosets come from decompose(rm.p), which needs a prime.
+        rm = build_modulus(2, 15)
+        with pytest.raises(DomainError, match="odd prime, got 15"):
+            product_structured(rm)
+        with pytest.raises(DomainError, match="odd prime, got 15"):
+            coset_partial_products(rm)
 
     def test_agrees_with_naive(self, odd_primes_1000):
         for p in odd_primes_1000:
             if p > 200:
                 break
-            d = decompose(p)
             for b in (2, 3, 10):
                 rm = build_modulus(b, p)
-                assert product_structured(rm, d) == product_naive(rm), (b, p)
+                assert product_structured(rm) == product_naive(rm), (b, p)
 
     def test_per_coset_unity(self, odd_primes_1000):
         for p in odd_primes_1000:
             if p > 100:
                 break
             rm = build_modulus(2, p)
-            for partial in coset_partial_products(rm, decompose(p)):
+            for partial in coset_partial_products(rm):
                 assert partial == 1, p
 
 
@@ -97,9 +99,8 @@ class TestPowerOfTwoBases:
             if p <= 64:
                 assert naive == product_bruteforce(b, p), (b, p)
             if prime_flags[p]:
-                d = decompose(p)
-                assert product_structured(rm, d) == naive, (b, p)
-                assert set(coset_partial_products(rm, d)) == {1}, (b, p)
+                assert product_structured(rm) == naive, (b, p)
+                assert set(coset_partial_products(rm)) == {1}, (b, p)
 
     @pytest.mark.parametrize("b,reductions", [(4, 1), (8, 1), (3, 200), (10, 200)])
     def test_reductions_per_naive_product(self, b, reductions, monkeypatch):
@@ -178,15 +179,9 @@ class TestEvaluate:
         assert set(elapsed) == {"naive"}
 
     def test_both_paths(self):
-        residues, elapsed = evaluate(build_modulus(3, 7), Path.BOTH, decompose(7))
+        residues, elapsed = evaluate(build_modulus(3, 7), Path.BOTH)
         assert residues == {"naive": 1, "structured": 1}
         assert list(elapsed) == ["naive", "structured"]
-
-    def test_structured_needs_decomposition(self):
-        with pytest.raises(PathUnavailable):
-            evaluate(build_modulus(2, 7), Path.STRUCTURED)
-        with pytest.raises(PathUnavailable):
-            evaluate(build_modulus(2, 7), Path.BOTH)
 
     def test_closed_needs_no_decomposition(self):
         residues, elapsed = evaluate(build_modulus(2, 15), Path.CLOSED)
@@ -231,16 +226,6 @@ class TestRunTest:
         assert report.paths_agree is None
         assert run_test(2, 89).to_record()["path"] == "closed"
 
-    def test_accepts_callers_decomposition(self, monkeypatch):
-        d = decompose(89)
-        monkeypatch.setattr("vantieghem.criterion.decompose", lambda p: pytest.fail("decomposed again"))
-        report = run_test(2, 89, Path.BOTH, d=d)
-        assert report.residues == {"naive": 1, "structured": 1}
-
-    def test_rejects_decomposition_for_another_p(self):
-        with pytest.raises(DomainError, match="decomposition is for p=7"):
-            run_test(2, 89, Path.BOTH, d=decompose(7))
-
     def test_structured_only(self):
         report = run_test(2, 31, Path.STRUCTURED)
         assert report.residue == 1
@@ -284,9 +269,9 @@ class TestRunTest:
 def _counting(fn, calls):
     """A product path fn, recording the modulus of each call in calls."""
 
-    def wrapper(rm, *rest):
+    def wrapper(rm):
         calls.append(rm)
-        return fn(rm, *rest)
+        return fn(rm)
 
     return wrapper
 

@@ -147,20 +147,26 @@ class TestRing:
 
 
 class TestPowBMod:
+    # b**n mod M from rm.power(n), for bases that are not powers of two;
+    # for b = 2**k the ring holds b**n as its exponent n mod p instead.
     def test_exponent_p_wraps_to_one(self):
-        assert build_modulus(2, 5).pow_b_mod(5) == 1
+        assert build_modulus(3, 5).power(5) == 1
 
     def test_exponent_reduction(self):
-        assert build_modulus(2, 5).pow_b_mod(7) == 4
+        assert build_modulus(3, 5).power(7) == 9  # 3**7 = 2187 = 18*121 + 9
 
     def test_base_three(self):
-        assert build_modulus(3, 3).pow_b_mod(4) == 3
+        assert build_modulus(3, 3).power(4) == 3
 
     @pytest.mark.parametrize("b,p", [(2, 5), (2, 11), (3, 7), (10, 3)])
     def test_matches_unreduced_exponent(self, b, p):
         rm = build_modulus(b, p)
         for n in range(3 * p + 1):
-            assert rm.pow_b_mod(n) == pow(b, n, rm.M)
+            if rm.log2_b:
+                assert rm.power(n) == n % p
+                assert pow(b, rm.power(n), rm.M) == pow(b, n, rm.M)
+            else:
+                assert rm.power(n) == pow(b, n, rm.M)
 
 
 class TestMultOrder:
