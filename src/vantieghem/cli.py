@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import golden
 from .cosets import decompose, verify_partition
-from .criterion import Path, TestReport, Verdict, run_test, sweep
+from .criterion import Path, TestReport, Verdict, run_test, sweep, usable_cpus
 from .cyclotomic import cyclotomic_poly, verify_lemma
 from .errors import DomainError, NotDivisible
 from .modmath import fold_reduce_pow2
@@ -88,11 +88,15 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Sweep the window in --jobs shares: this process runs one, and one forked
+    child runs each of the others (see criterion.sweep).  --jobs defaults to
+    the usable CPUs; the output is the same for every --jobs."""
     if args.p_min > args.p_max:
         raise DomainError(f"empty range: p-min {args.p_min} > p-max {args.p_max}")
     if any(b < 2 for b in args.bases):
         raise DomainError("bases must all be >= 2")
-    report = sweep(args.p_min, args.p_max, args.bases, allow_large_base=args.allow_large_base)
+    jobs = usable_cpus() if args.jobs is None else args.jobs
+    report = sweep(args.p_min, args.p_max, args.bases, allow_large_base=args.allow_large_base, jobs=jobs)
     failures = report.failures()
 
     def record() -> dict:
@@ -283,6 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-max", type=_nonnegative_int, required=True)
     s.add_argument("--bases", type=_base_list, required=True, help="comma-separated bases, each >= 2")
     s.add_argument("--per-p", action="store_true", help="print one row per (p, b)")
+    s.add_argument(
+        "--jobs",
+        type=_nonnegative_int,
+        help="shares the odd p are dealt into, >= 1: this process runs one and a forked "
+        "child each other one; capped at the usable CPUs and the number of odd p; "
+        "the output does not depend on it (default: the usable CPUs)",
+    )
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("lemma", parents=[shared], help="verify the cyclotomic root-product identity")

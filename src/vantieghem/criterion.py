@@ -31,8 +31,11 @@ bases multiply and reduce mod M at every step.
 from __future__ import annotations
 
 import enum
+import marshal
+import os
 import time
 from dataclasses import dataclass
+from typing import Callable, NoReturn
 
 from .cosets import decompose
 from .errors import DomainError, NotDivisible, PathUnavailable
@@ -342,12 +345,136 @@ class SweepReport:
         }
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else os.cpu_count(), and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sweep_rows(
+    ps: list[int], bases: tuple[int, ...], primes: bytearray, allow_large_base: bool
+) -> list[tuple]:
+    """One share of a sweep, serially: (p, b, prime, residue_one, paths_agree) per pair, p outer."""
+    rows = []
+    for p in ps:
+        prime = bool(primes[p])
+        path, key = (Path.BOTH, "naive") if prime else (Path.CLOSED, "closed")
+        for b in bases:
+            if b > p - 1 and not allow_large_base:
+                continue
+            residues, _ = evaluate(build_modulus(b, p), path)
+            residue = residues[key]
+            agree = residues["structured"] == residue if prime else None
+            rows.append((p, b, prime, residue == 1, agree))
+    return rows
+
+
+def _deal(ps: range, jobs: int) -> list[list[int]]:
+    """ps split into jobs shares, each ascending.
+
+    p is dealt largest first and snake-wise (shares 0, 1, ..., jobs-1, then
+    jobs-1, ..., 0, ...), so the shares' costs, quadratic in p, balance
+    without a cost model.
+    """
+    shares: list[list[int]] = [[] for _ in range(jobs)]
+    for i, p in enumerate(reversed(ps)):
+        k = i % jobs
+        shares[k if i // jobs % 2 == 0 else jobs - 1 - k].append(p)
+    return [share[::-1] for share in shares]
+
+
+# Exceptions that a forked share sends back and the parent raises as themselves;
+# any other one is raised as a RuntimeError naming its type.
+_FORWARDED = {cls.__name__: cls for cls in (DomainError, NotDivisible, KeyboardInterrupt)}
+
+
+def _share_in_child(run: Callable[[list[int]], list], share: list[int], r: int, w: int) -> NoReturn:
+    """The forked child's side: run the share and send (None, rows), or the
+    exception's (type name, message), marshal-encoded down w.
+
+    The child always leaves by os._exit, so it never returns into the
+    caller's stack and never flushes stdio buffers it inherited.
+    """
+    status = 1
+    try:
+        os.close(r)
+        try:
+            message = (None, run(share))
+        except (Exception, KeyboardInterrupt) as exc:
+            message = (type(exc).__name__, str(exc))
+        data = memoryview(marshal.dumps(message))
+        while data:
+            data = data[os.write(w, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _share_result(pid: int, data: bytes, status: int) -> list:
+    """The rows a child sent, or the exception it sent raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not data:
+        raise RuntimeError(f"sweep worker {pid} exited with status {code} before sending its entries")
+    name, payload = marshal.loads(data)
+    if name is None:
+        return payload
+    if name in _FORWARDED:
+        raise _FORWARDED[name](payload)
+    raise RuntimeError(f"{name} in sweep worker {pid}: {payload}")
+
+
+def _run_shares(run: Callable[[list[int]], list], shares: list[list[int]]) -> list:
+    """run(share) for every share, concatenated in share order.
+
+    shares[0] runs in this process; each other share runs in one os.fork()
+    child with its own pipe, so one share forks nothing.  Whatever this
+    process raises, every child is killed if still running, and reaped,
+    before the exception leaves.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    reaped: set[int] = set()
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _share_in_child(run, share, r, w)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, r))
+        rows = run(shares[0])
+        for pid, r in children:
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            rows += _share_result(pid, b"".join(chunks), status)
+        return rows
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if pid not in reaped:
+                import signal  # here, not at the top: a sweep that ends normally never pays for it
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def sweep(
     p_min: int,
     p_max: int,
     bases: list[int] | tuple[int, ...],
     *,
     allow_large_base: bool = False,
+    jobs: int = 1,
 ) -> SweepReport:
     """Run the criterion for every odd p in [p_min, p_max] and every base.
 
@@ -357,25 +484,35 @@ def sweep(
     residue_one is the naive residue's; for composite p the closed path
     alone gives the residue, in O(d(p)**2) big-int operations instead of
     p - 1 ring steps, and paths_agree is None.  An empty range yields an
-    empty report.  Entries come out in (p, b) order regardless of how the
-    work is scheduled.
+    empty report.
+
+    jobs >= 1 is the number of shares the odd p are dealt into (see _deal),
+    capped at usable_cpus() and at the number of odd p, and 1 where os.fork
+    is missing.  This process runs share 0; each other share runs in one
+    forked child, which sends its entries back over a pipe.  Entries come
+    out in (p, b) order however many shares ran, so the report is the same.
+    A DomainError, NotDivisible or KeyboardInterrupt raised in a child's
+    share is raised here with its type and message; a child that ends
+    without sending its entries raises RuntimeError.  With faults in more
+    than one share, which one is raised may differ from a serial run.
+    On 2 cores two shares take the sweep's time to about half.  A process
+    that runs other threads should keep jobs=1, since a forked child
+    inherits only the calling thread and any lock another one held.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     wanted = tuple(sorted({b for b in bases if b >= 2}))
-    entries: list[SweepEntry] = []
     start = max(p_min, 3)
     if start % 2 == 0:
         start += 1
+    ps = range(start, p_max + 1, 2)
     primes = prime_table(max(p_max, 0))
-    for p in range(start, p_max + 1, 2):
-        prime = bool(primes[p])
-        path, key = (Path.BOTH, "naive") if prime else (Path.CLOSED, "closed")
-        for b in wanted:
-            if b > p - 1 and not allow_large_base:
-                continue
-            residues, _ = evaluate(build_modulus(b, p), path)
-            residue = residues[key]
-            agree = residues["structured"] == residue if prime else None
-            entries.append(
-                SweepEntry(p=p, b=b, prime=prime, residue_one=residue == 1, paths_agree=agree)
-            )
-    return SweepReport(p_min=p_min, p_max=p_max, bases=wanted, entries=tuple(entries))
+
+    def run(share: list[int]) -> list[tuple]:
+        return _sweep_rows(share, wanted, primes, allow_large_base)
+
+    jobs = max(1, min(jobs, usable_cpus(), len(ps))) if hasattr(os, "fork") else 1
+    rows = _run_shares(run, _deal(ps, jobs))
+    rows.sort()
+    entries = tuple(SweepEntry(*row) for row in rows)
+    return SweepReport(p_min=p_min, p_max=p_max, bases=wanted, entries=entries)

@@ -1,10 +1,15 @@
-"""Shared fixtures: an independent sieve for choosing primes and composites.
+"""Shared fixtures: an independent sieve for choosing primes and composites,
+and fork accounting for the sweep's shares.
 
 The sieve is implemented here, not imported from the package, so tests that
 cross-check the package's trial-division oracle really are independent.
 """
 
+import os
+
 import pytest
+
+import vantieghem.criterion as criterion
 
 
 def sieve_flags(limit: int) -> bytearray:
@@ -34,3 +39,31 @@ def odd_primes_500(odd_primes_1000) -> list[int]:
 @pytest.fixture(scope="session")
 def odd_composites_500(prime_flags) -> list[int]:
     return [n for n in range(3, 501, 2) if not prime_flags[n]]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child forked, in order.
+
+    A fork beyond criterion.usable_cpus() - 1 fails the test instead of
+    starting a process, so a broken cap cannot start many.
+    """
+    pids = []
+    fork = os.fork
+
+    def counted():
+        if len(pids) >= criterion.usable_cpus() - 1:
+            pytest.fail(f"fork number {len(pids) + 1} with {criterion.usable_cpus()} usable CPUs")
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The sweep caps its shares at 2, whatever the host has."""
+    monkeypatch.setattr(criterion, "usable_cpus", lambda: 2)

@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, text and structured output."""
 
 import json
+import os
 import re
 import time
 
@@ -12,7 +13,7 @@ import vantieghem.cosets as cosets
 import vantieghem.criterion as criterion
 from vantieghem import golden
 from vantieghem.cli import main
-from vantieghem.errors import NotDivisible
+from vantieghem.errors import DomainError, NotDivisible
 
 
 def run_cli(capsys, *argv):
@@ -266,11 +267,121 @@ class TestSweepCommand:
         assert "entries" not in record  # only included with --per-p
 
     def test_decomposes_once_per_prime(self, capsys, decompositions, prime_flags):
+        # Counted in this process, so the sweep runs serially.
         code, _, _ = run_cli(
-            capsys, "sweep", "--p-min", "3", "--p-max", "301", "--bases", "2,3,5,7,10,12"
+            capsys, "sweep", "--p-min", "3", "--p-max", "301", "--bases", "2,3,5,7,10,12", "--jobs", "1"
         )
         assert code == 0
         assert decompositions == [p for p in range(3, 302, 2) if prime_flags[p]]
+
+
+SWEEP_WINDOW = ("--p-min", "3", "--p-max", "301", "--bases", "2,3,5,7,10,12")
+STRUCTURED = ("--output-format", "structured-record")
+
+
+class TestSweepJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_two(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "sweep", "--p-min", "3", "--p-max", "9", "--bases", "2", "--jobs", jobs
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_jobs_capped_at_usable_cpus(self, capsys, forks):
+        argv = ("sweep", "--p-min", "3", "--p-max", "31", "--bases", "2,3", "--per-p")
+        capped = run_cli(capsys, *argv, "--jobs", "64")
+        assert len(forks) == min(cli.usable_cpus(), 15) - 1
+        assert capped == run_cli(capsys, *argv, "--jobs", "1")
+
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize("jobs, children", [("1", 0), ("2", 1)])
+    def test_forks_one_child_per_extra_job(self, capsys, forks, jobs, children):
+        assert run_cli(capsys, "sweep", *SWEEP_WINDOW, "--jobs", jobs)[0] == 0
+        assert len(forks) == children
+
+    def test_default_is_the_usable_cpus(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(*args, jobs, **kwargs):
+            seen.append(jobs)
+            return criterion.sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "sweep", recording)
+        assert run_cli(capsys, "sweep", "--p-min", "3", "--p-max", "9", "--bases", "2")[0] == 0
+        assert seen == [3]
+
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", *SWEEP_WINDOW),
+            ("sweep", *SWEEP_WINDOW, "--per-p"),
+            ("sweep", *SWEEP_WINDOW, *STRUCTURED),
+            *(
+                ("sweep", "--p-min", p_min, *SWEEP_WINDOW[2:], "--per-p", *STRUCTURED)
+                for p_min in ("3", "5", "7", "9", "11", "13")
+            ),
+            ("sweep", "--p-min", "3", "--p-max", "3", "--bases", "2", "--per-p"),
+            ("sweep", "--p-min", "10", "--p-max", "9", "--bases", "2"),
+        ],
+    )
+    def test_two_jobs_match_one(self, capsys, argv):
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            (DomainError("no ring here"), 2, "error: no ring here\n"),
+            (
+                NotDivisible("13 does not divide 14"),
+                1,
+                "error: naive path at b=2, p=13: 13 does not divide 14\n",
+            ),
+        ],
+    )
+    def test_child_error_exits_as_serial(self, capsys, monkeypatch, forks, error, code, message):
+        assert 13 in criterion._deal(range(3, 32, 2), 2)[1]  # the child's share
+        real = criterion.product_naive
+
+        def fails_at_13(rm):
+            if rm.p == 13:
+                raise error
+            return real(rm)
+
+        monkeypatch.setattr(criterion, "product_naive", fails_at_13)
+        argv = ("sweep", "--p-min", "3", "--p-max", "31", "--bases", "2")
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert serial == (code, "", message)
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        assert len(forks) == 1
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_interrupt_in_parent_exits_130_and_reaps(self, capsys, monkeypatch, forks):
+        parent = os.getpid()
+        real = criterion.product_naive
+
+        def interrupted_here_stalled_there(rm):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif rm.p == 7:
+                raise KeyboardInterrupt
+            return real(rm)
+
+        monkeypatch.setattr(criterion, "product_naive", interrupted_here_stalled_there)
+        t0 = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "sweep", "--p-min", "3", "--p-max", "31", "--bases", "2", "--jobs", "2"
+        )
+        assert (code, err) == (130, "error: interrupted\n")
+        assert time.perf_counter() - t0 < 10
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
 
 
 class TestLemmaCommand:

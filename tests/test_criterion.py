@@ -1,5 +1,6 @@
 """The three evaluation paths, the telescoping oracle, run_test, and sweep."""
 
+import os
 import time
 
 import pytest
@@ -348,3 +349,83 @@ class TestSweep:
         assert record["agreements"] == "4"
         assert record["disagreements"] == "0"
         assert record["failures"] == []
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestSweepShares:
+    # Window 3..31: share 0 = [7, 9, 15, 17, 23, 25, 31] runs in this
+    # process, share 1 = [3, 5, 11, 13, 19, 21, 27, 29] in one child.
+    WINDOW = (3, 31)
+
+    def test_deal_is_snake_wise_from_the_largest_p(self):
+        assert criterion._deal(range(3, 32, 2), 2) == [
+            [7, 9, 15, 17, 23, 25, 31],
+            [3, 5, 11, 13, 19, 21, 27, 29],
+        ]
+        assert criterion._deal(range(3, 20, 2), 3) == [[7, 9, 19], [5, 11, 17], [3, 13, 15]]
+
+    @pytest.mark.parametrize("hi", [3, 5, 31, 100, 301])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
+    def test_deal_partitions(self, hi, jobs):
+        ps = range(3, hi + 1, 2)
+        shares = criterion._deal(ps, jobs)
+        assert len(shares) == jobs
+        assert sorted(p for share in shares for p in share) == list(ps)
+        assert all(share == sorted(share) for share in shares)
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(DomainError, match="jobs must be >= 1, got 0"):
+            sweep(3, 9, [2], jobs=0)
+
+    def test_without_fork_runs_serially(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert sweep(*self.WINDOW, [2, 3], jobs=2) == sweep(*self.WINDOW, [2, 3])
+
+    @pytest.mark.parametrize(
+        "in_child, message",
+        [
+            (lambda: os._exit(3), "exited with status 3 before sending its entries"),
+            (lambda: 1 / 0, "ZeroDivisionError in sweep worker"),
+        ],
+    )
+    def test_child_failure_raises(self, monkeypatch, forks, in_child, message):
+        parent = os.getpid()
+        real = criterion.product_naive
+
+        def fails_in_child(rm):
+            if os.getpid() != parent:
+                in_child()
+            return real(rm)
+
+        monkeypatch.setattr(criterion, "product_naive", fails_in_child)
+        with pytest.raises(RuntimeError, match=message):
+            sweep(*self.WINDOW, [2], jobs=2)
+        assert len(forks) == 1 and _reaped(forks[0])
+
+    def test_parent_failure_kills_and_reaps_the_child(self, monkeypatch, forks):
+        # KeyboardInterrupt, the other case, is in test_cli's TestSweepJobs.
+        parent = os.getpid()
+        real = criterion.product_naive
+
+        def parent_fails_child_stalls(rm):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif rm.p == 7:
+                raise DomainError("no ring here")
+            return real(rm)
+
+        monkeypatch.setattr(criterion, "product_naive", parent_fails_child_stalls)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="no ring here"):
+            sweep(*self.WINDOW, [2], jobs=2)
+        assert time.perf_counter() - t0 < 10
+        assert len(forks) == 1 and _reaped(forks[0])
