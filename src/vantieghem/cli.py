@@ -88,15 +88,16 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Sweep the window in --jobs shares: this process runs one, and one forked
-    child runs each of the others (see criterion.sweep).  --jobs defaults to
-    the usable CPUs; the output is the same for every --jobs."""
+    """Sweep the window in one share per usable CPU: this process runs one,
+    and one forked child runs each of the others (see criterion.sweep).  The
+    output does not depend on the number of shares."""
     if args.p_min > args.p_max:
         raise DomainError(f"empty range: p-min {args.p_min} > p-max {args.p_max}")
     if any(b < 2 for b in args.bases):
         raise DomainError("bases must all be >= 2")
-    jobs = usable_cpus() if args.jobs is None else args.jobs
-    report = sweep(args.p_min, args.p_max, args.bases, allow_large_base=args.allow_large_base, jobs=jobs)
+    report = sweep(
+        args.p_min, args.p_max, args.bases, allow_large_base=args.allow_large_base, jobs=usable_cpus()
+    )
     failures = report.failures()
 
     def record() -> dict:
@@ -287,13 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-max", type=_nonnegative_int, required=True)
     s.add_argument("--bases", type=_base_list, required=True, help="comma-separated bases, each >= 2")
     s.add_argument("--per-p", action="store_true", help="print one row per (p, b)")
-    s.add_argument(
-        "--jobs",
-        type=_nonnegative_int,
-        help="shares the odd p are dealt into, >= 1: this process runs one and a forked "
-        "child each other one; capped at the usable CPUs and the number of odd p; "
-        "the output does not depend on it (default: the usable CPUs)",
-    )
     s.set_defaults(func=cmd_sweep)
 
     s = sub.add_parser("lemma", parents=[shared], help="verify the cyclotomic root-product identity")

@@ -30,6 +30,7 @@ bases multiply and reduce mod M at every step.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import marshal
 import os
@@ -391,9 +392,12 @@ def _deal(ps: range, jobs: int) -> list[list[int]]:
 _FORWARDED = {cls.__name__: cls for cls in (DomainError, NotDivisible, KeyboardInterrupt)}
 
 
-def _share_in_child(run: Callable[[list[int]], list], share: list[int], r: int, w: int) -> NoReturn:
-    """The forked child's side: run the share and send (None, rows), or the
-    exception's (type name, message), marshal-encoded down w.
+def _share_in_child(
+    run: Callable[[list[int]], list], share: list[int], r: int, w: int, mask: set
+) -> NoReturn:
+    """The forked child's side: restore the signal mask, run the share and
+    send (None, rows), or the exception's (type name, message),
+    marshal-encoded down w.
 
     The child always leaves by os._exit, so it never returns into the
     caller's stack and never flushes stdio buffers it inherited.
@@ -402,6 +406,9 @@ def _share_in_child(run: Callable[[list[int]], list], share: list[int], r: int, 
     try:
         os.close(r)
         try:
+            import signal
+
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             message = (None, run(share))
         except (Exception, KeyboardInterrupt) as exc:
             message = (type(exc).__name__, str(exc))
@@ -411,6 +418,25 @@ def _share_in_child(run: Callable[[list[int]], list], share: list[int], r: int, 
         status = 0
     finally:
         os._exit(status)
+
+
+@contextlib.contextmanager
+def _signals_held():
+    """Hold back every signal for the block and yield the mask it replaced.
+
+    A signal that comes in meanwhile is handled when the block ends, so a
+    KeyboardInterrupt cannot land between a fork, or a reap, and its
+    bookkeeping.  The old mask is read before anything is blocked, so an
+    interrupt raised on the way in still restores it.
+    """
+    import signal  # here, not at the top: a sweep that never forks never pays for it
+
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        yield held
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def _share_result(pid: int, data: bytes, status: int) -> list:
@@ -430,39 +456,44 @@ def _run_shares(run: Callable[[list[int]], list], shares: list[list[int]]) -> li
     """run(share) for every share, concatenated in share order.
 
     shares[0] runs in this process; each other share runs in one os.fork()
-    child with its own pipe, so one share forks nothing.  Whatever this
-    process raises, every child is killed if still running, and reaped,
-    before the exception leaves.
+    child with its own pipe, so one share forks nothing.  Signals are held
+    from each fork until its child is recorded, and from each reap until it
+    is recorded, so whatever this process raises while the shares run,
+    every child is killed if still running, and reaped, before the
+    exception leaves.  (A second interrupt during that cleanup is not
+    covered.)
     """
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     reaped: set[int] = set()
     try:
         for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
+            with _signals_held() as held:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
                 if pid == 0:
-                    _share_in_child(run, share, r, w)
-            except BaseException:
-                os.close(r)
-                raise
-            finally:
+                    _share_in_child(run, share, r, w, held)
+                children.append((pid, r))
                 os.close(w)
-            children.append((pid, r))
         rows = run(shares[0])
         for pid, r in children:
             chunks = []
             while chunk := os.read(r, 1 << 16):
                 chunks.append(chunk)
-            _, status = os.waitpid(pid, 0)
-            reaped.add(pid)
+            with _signals_held():  # at EOF the child is leaving, so this wait is short
+                _, status = os.waitpid(pid, 0)
+                reaped.add(pid)
             rows += _share_result(pid, b"".join(chunks), status)
         return rows
     finally:
         for pid, r in children:
             os.close(r)
             if pid not in reaped:
-                import signal  # here, not at the top: a sweep that ends normally never pays for it
+                import signal
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -495,7 +526,9 @@ def sweep(
     share is raised here with its type and message; a child that ends
     without sending its entries raises RuntimeError.  With faults in more
     than one share, which one is raised may differ from a serial run.
-    On 2 cores two shares take the sweep's time to about half.  A process
+    Measured on a 2-core host only: there two shares take the sweep's time
+    to about half.  Whether one share per CPU pays on larger hosts, where
+    a small window forks many children, is unmeasured.  A process
     that runs other threads should keep jobs=1, since a forked child
     inherits only the calling thread and any lock another one held.
     """

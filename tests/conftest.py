@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+import vantieghem.cli as cli
 import vantieghem.criterion as criterion
 
 
@@ -64,6 +65,24 @@ def forks(monkeypatch):
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    """The sweep caps its shares at 2, whatever the host has."""
-    monkeypatch.setattr(criterion, "usable_cpus", lambda: 2)
+def cpus(monkeypatch):
+    """cpus(n) makes the sweep's cap and the CLI's share count n, whatever
+    the host has."""
+
+    def usable(n: int) -> None:
+        for module in (criterion, cli):
+            monkeypatch.setattr(module, "usable_cpus", lambda: n)
+
+    return usable
+
+
+@pytest.fixture
+def one_cpu(cpus):
+    """The sweep runs serially, in this process."""
+    cpus(1)
+
+
+@pytest.fixture
+def two_cpus(cpus):
+    """The sweep runs in two shares: this process and one child."""
+    cpus(2)

@@ -266,11 +266,9 @@ class TestSweepCommand:
         assert record["disagreements"] == "0"
         assert "entries" not in record  # only included with --per-p
 
-    def test_decomposes_once_per_prime(self, capsys, decompositions, prime_flags):
+    def test_decomposes_once_per_prime(self, capsys, decompositions, prime_flags, one_cpu):
         # Counted in this process, so the sweep runs serially.
-        code, _, _ = run_cli(
-            capsys, "sweep", "--p-min", "3", "--p-max", "301", "--bases", "2,3,5,7,10,12", "--jobs", "1"
-        )
+        code, _, _ = run_cli(capsys, "sweep", "--p-min", "3", "--p-max", "301", "--bases", "2,3,5,7,10,12")
         assert code == 0
         assert decompositions == [p for p in range(3, 302, 2) if prime_flags[p]]
 
@@ -279,29 +277,14 @@ SWEEP_WINDOW = ("--p-min", "3", "--p-max", "301", "--bases", "2,3,5,7,10,12")
 STRUCTURED = ("--output-format", "structured-record")
 
 
-class TestSweepJobs:
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_exits_two(self, capsys, jobs):
-        code, out, err = run_cli(
-            capsys, "sweep", "--p-min", "3", "--p-max", "9", "--bases", "2", "--jobs", jobs
-        )
-        assert code == 2
-        assert out == ""
-        assert "error:" in err
-
-    def test_jobs_capped_at_usable_cpus(self, capsys, forks):
-        argv = ("sweep", "--p-min", "3", "--p-max", "31", "--bases", "2,3", "--per-p")
-        capped = run_cli(capsys, *argv, "--jobs", "64")
-        assert len(forks) == min(cli.usable_cpus(), 15) - 1
-        assert capped == run_cli(capsys, *argv, "--jobs", "1")
-
-    @pytest.mark.usefixtures("two_cpus")
-    @pytest.mark.parametrize("jobs, children", [("1", 0), ("2", 1)])
-    def test_forks_one_child_per_extra_job(self, capsys, forks, jobs, children):
-        assert run_cli(capsys, "sweep", *SWEEP_WINDOW, "--jobs", jobs)[0] == 0
+class TestSweepCPUs:
+    @pytest.mark.parametrize("n, children", [(1, 0), (2, 1)])
+    def test_forks_one_child_per_extra_cpu(self, capsys, cpus, forks, n, children):
+        cpus(n)
+        assert run_cli(capsys, "sweep", *SWEEP_WINDOW)[0] == 0
         assert len(forks) == children
 
-    def test_default_is_the_usable_cpus(self, capsys, monkeypatch):
+    def test_shares_are_the_usable_cpus(self, capsys, monkeypatch):
         seen = []
 
         def recording(*args, jobs, **kwargs):
@@ -313,7 +296,6 @@ class TestSweepJobs:
         assert run_cli(capsys, "sweep", "--p-min", "3", "--p-max", "9", "--bases", "2")[0] == 0
         assert seen == [3]
 
-    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -328,11 +310,12 @@ class TestSweepJobs:
             ("sweep", "--p-min", "10", "--p-max", "9", "--bases", "2"),
         ],
     )
-    def test_two_jobs_match_one(self, capsys, argv):
-        serial = run_cli(capsys, *argv, "--jobs", "1")
-        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+    def test_two_cpus_match_one(self, capsys, cpus, argv):
+        cpus(1)
+        serial = run_cli(capsys, *argv)
+        cpus(2)
+        assert run_cli(capsys, *argv) == serial
 
-    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize(
         "error, code, message",
         [
@@ -344,7 +327,7 @@ class TestSweepJobs:
             ),
         ],
     )
-    def test_child_error_exits_as_serial(self, capsys, monkeypatch, forks, error, code, message):
+    def test_child_error_exits_as_serial(self, capsys, monkeypatch, cpus, forks, error, code, message):
         assert 13 in criterion._deal(range(3, 32, 2), 2)[1]  # the child's share
         real = criterion.product_naive
 
@@ -355,9 +338,11 @@ class TestSweepJobs:
 
         monkeypatch.setattr(criterion, "product_naive", fails_at_13)
         argv = ("sweep", "--p-min", "3", "--p-max", "31", "--bases", "2")
-        serial = run_cli(capsys, *argv, "--jobs", "1")
+        cpus(1)
+        serial = run_cli(capsys, *argv)
         assert serial == (code, "", message)
-        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        cpus(2)
+        assert run_cli(capsys, *argv) == serial
         assert len(forks) == 1
 
     @pytest.mark.usefixtures("two_cpus")
@@ -374,9 +359,7 @@ class TestSweepJobs:
 
         monkeypatch.setattr(criterion, "product_naive", interrupted_here_stalled_there)
         t0 = time.perf_counter()
-        code, _, err = run_cli(
-            capsys, "sweep", "--p-min", "3", "--p-max", "31", "--bases", "2", "--jobs", "2"
-        )
+        code, _, err = run_cli(capsys, "sweep", "--p-min", "3", "--p-max", "31", "--bases", "2")
         assert (code, err) == (130, "error: interrupted\n")
         assert time.perf_counter() - t0 < 10
         assert len(forks) == 1

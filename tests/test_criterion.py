@@ -1,6 +1,7 @@
 """The three evaluation paths, the telescoping oracle, run_test, and sweep."""
 
 import os
+import signal
 import time
 
 import pytest
@@ -386,6 +387,40 @@ class TestSweepShares:
         with pytest.raises(DomainError, match="jobs must be >= 1, got 0"):
             sweep(3, 9, [2], jobs=0)
 
+    def test_shares_capped_at_usable_cpus_and_odd_p(self, forks):
+        assert sweep(*self.WINDOW, [2, 3], jobs=64) == sweep(*self.WINDOW, [2, 3])
+        assert len(forks) == 1
+        assert sweep(3, 4, [2], jobs=2) == sweep(3, 4, [2])
+        assert len(forks) == 1
+
+    def test_interrupt_right_after_a_fork_reaps_the_child(self, monkeypatch, forks):
+        fork = os.fork
+
+        def fork_then_interrupt():
+            pid = fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(*self.WINDOW, [2], jobs=2)
+        assert len(forks) == 1 and _reaped(forks[0])
+
+    def test_interrupt_right_after_a_reap_is_what_is_raised(self, monkeypatch, forks):
+        waitpid = os.waitpid
+
+        def reap_then_interrupt(pid, options):
+            reaped = waitpid(pid, options)
+            os.kill(os.getpid(), signal.SIGINT)
+            return reaped
+
+        monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(*self.WINDOW, [2], jobs=2)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        assert len(forks) == 1 and _reaped(forks[0])
+
     def test_without_fork_runs_serially(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert sweep(*self.WINDOW, [2, 3], jobs=2) == sweep(*self.WINDOW, [2, 3])
@@ -412,7 +447,7 @@ class TestSweepShares:
         assert len(forks) == 1 and _reaped(forks[0])
 
     def test_parent_failure_kills_and_reaps_the_child(self, monkeypatch, forks):
-        # KeyboardInterrupt, the other case, is in test_cli's TestSweepJobs.
+        # KeyboardInterrupt, the other case, is in test_cli's TestSweepCPUs.
         parent = os.getpid()
         real = criterion.product_naive
 
