@@ -1,6 +1,12 @@
 """Integer polynomials, cyclotomic construction, and the root-product check."""
 
+import os
+import random
+import subprocess
+import sys
 from math import gcd
+from operator import sub
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -34,6 +40,36 @@ def expand_unreduced(exponents) -> list[IntPolynomial]:
             out[i] = out[i] - IntPolynomial.monomial(d) * c
         acc = out
     return acc
+
+
+def reference_root_product(m, exponents, modulus):
+    """root_product by list rotations and one polynomial long division per X-coefficient.
+
+    Each X-coefficient is a length-m list of ints in Z[Y]/(Y**m - 1), so
+    multiplying by Y**d rotates it by d; each is then reduced mod modulus
+    with IntPolynomial's long division.  It shares no arithmetic with the
+    packed-integer kernel.
+    """
+    zero = [0] * m
+    acc = [[1] + zero[1:]]
+    for d in exponents:
+        # Row i of acc * (X - Y**d) is row i-1 minus row i rotated by d.
+        s = -d % m
+        acc = [list(map(sub, hi, lo[s:] + lo[:s])) for hi, lo in zip([zero] + acc, acc)] + [acc[-1]]
+    return tuple(IntPolynomial(tuple(c)) % modulus for c in acc)
+
+
+def seeded_random(m):
+    rng = random.Random(m)
+    return [rng.randrange(-2 * m, 3 * m) for _ in range(rng.randrange(totient(m) + 2))]
+
+
+EXPONENT_SETS = {
+    "units": units,
+    "shifted": lambda m: [d + 1 for d in units(m)],
+    "non-unit-added": lambda m: units(m) + [m],
+}
+REFERENCE_SETS = {**EXPONENT_SETS, "seeded-random": seeded_random}
 
 
 @pytest.fixture
@@ -170,15 +206,7 @@ class TestRootProduct:
     def test_single_factor_does_not_match(self):
         assert root_product(3, [1], cyclotomic_poly(3)) == (-IntPolynomial.x(), IntPolynomial.constant(1))
 
-    @pytest.mark.parametrize(
-        "exponent_set",
-        [
-            units,
-            lambda m: [d + 1 for d in units(m)],
-            lambda m: units(m) + [m],
-        ],
-        ids=["units", "shifted", "non-unit-added"],
-    )
+    @pytest.mark.parametrize("exponent_set", EXPONENT_SETS.values(), ids=EXPONENT_SETS.keys())
     def test_matches_full_expansion(self, exponent_set):
         # The oracle multiplies out in Z[Y][X] and reduces each coefficient
         # once at the end; it never reduces mod Y**m - 1.
@@ -197,11 +225,65 @@ class TestRootProduct:
             expected = tuple(c % modulus for c in expand_unreduced(exponents))
             assert root_product(m, exponents, modulus) == expected
 
+    @pytest.mark.parametrize("exponent_set", REFERENCE_SETS.values(), ids=REFERENCE_SETS.keys())
+    @pytest.mark.parametrize(
+        "modulus_of", [cyclotomic_poly, lambda m: IntPolynomial.monomial(m) - 1], ids=["phi", "y-m-minus-one"]
+    )
+    def test_matches_reference(self, exponent_set, modulus_of):
+        for m in [*range(1, 121), 210]:
+            modulus, exponents = modulus_of(m), exponent_set(m)
+            assert root_product(m, exponents, modulus) == reference_root_product(m, exponents, modulus), m
+
+    @given(
+        m=st.integers(min_value=1, max_value=16),
+        exponents=st.lists(st.integers(min_value=-40, max_value=40), max_size=8),
+        low=st.lists(st.integers(min_value=-9, max_value=9), max_size=5),
+    )
+    def test_any_monic_modulus(self, m, exponents, low):
+        # Y**k mod such a modulus can have large coefficients (Y - 3 gives
+        # 3**k), which the slot width must cover.
+        modulus = IntPolynomial(tuple(low) + (1,))
+        assert root_product(m, exponents, modulus) == reference_root_product(m, exponents, modulus)
+
+    def test_non_monic_modulus_raises(self):
+        with pytest.raises(DomainError):
+            root_product(3, [1, 2], 2 * cyclotomic_poly(3))
+
+    def test_slot_width_is_the_least_multiple_of_eight(self):
+        for bound in (0, 1, 63, 64, 2**50 - 1, 2**50, 3**100):
+            width = cyclotomic._slot_width(bound)
+            assert width % 8 == 0 and bound < 2 ** (width - 2), bound
+            assert width == 8 or bound >= 2 ** (width - 10), bound
+
+    def test_too_narrow_slot_width_raises_under_python_o(self):
+        # The width check must survive python -O, so it is a raise; 8 bits
+        # cannot hold the counts of 48 factors at m = 105.
+        code = (
+            "import sys\n"
+            "from vantieghem import cyclotomic\n"
+            "if not sys.flags.optimize: sys.exit(2)\n"
+            "cyclotomic._slot_width = lambda bound: 8\n"
+            "try: cyclotomic.verify_lemma(105)\n"
+            "except OverflowError: sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = str(Path(cyclotomic.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60).returncode == 0
+
+    def test_digits_beyond_the_count_raise(self):
+        assert cyclotomic._balanced_digits(-1 - (5 << 8), 8, 3) == (-1, -5)
+        assert cyclotomic._balanced_digits(127, 8, 1) == (127,)
+        assert cyclotomic._balanced_digits(0, 8, 0) == ()
+        for r, count in [(1 << 16, 2), (-(1 << 16), 2), (128, 1), (-129, 1), (1, 0)]:
+            with pytest.raises(OverflowError):
+                cyclotomic._balanced_digits(r, 8, count)
+
 
 class TestNegativeControls:
     """verify_lemma must fail when its exponent set is anything but the units."""
 
-    MS = (2, 3, 4, 6, 7, 9, 12, 15, 30)
+    MS = (2, 3, 4, 6, 7, 9, 12, 15, 30, 105)
 
     @pytest.mark.parametrize("m", MS)
     def test_units_unchanged(self, m, lemma_on):
@@ -242,8 +324,8 @@ class TestVerifyLemma:
         assert verify_lemma(105)
 
     @pytest.mark.parametrize("m", [2, 3, 12, 30, 105])
-    def test_one_reduction_per_x_coefficient(self, m, monkeypatch):
-        target = cyclotomic_poly(m)  # warm the cache: only the check is counted
+    def test_no_polynomial_division(self, m, monkeypatch):
+        cyclotomic_poly(m)  # warm the cache: only the check is counted
         calls = []
         exact = IntPolynomial.__divmod__
 
@@ -253,5 +335,4 @@ class TestVerifyLemma:
 
         monkeypatch.setattr(IntPolynomial, "__divmod__", counted)
         assert verify_lemma(m)
-        assert len(calls) == len(target.coeffs) == totient(m) + 1
-        assert all(modulus == target for modulus in calls)
+        assert calls == []
