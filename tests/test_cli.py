@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, text and structured output."""
 
+import argparse
 import json
 import os
 import re
@@ -536,3 +537,98 @@ class TestUsage:
 
     def test_bad_integer_exits_two(self, capsys):
         assert run_cli(capsys, "test", "--p", "eleven", "--b", "2")[0] == 2
+
+
+@pytest.fixture
+def fresh_parser():
+    """cli's parser cache is empty before and after the test."""
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def untimed(text):
+    """text with every timing figure (a decimal fraction) masked."""
+    return re.sub(r"-?\d+\.\d+(?:e[-+]?\d+)?", "<t>", text)
+
+
+class TestParserReuse:
+    # main builds its parser on the first call and reuses it on every later
+    # call in the process; the gate is a count of builds, not wall time.
+
+    def test_one_build_per_process(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.__wrapped__()
+        per_build = len(built)
+        built.clear()
+        assert run_cli(capsys, "test", "--p", "89", "--b", "2")[0] == 0
+        assert run_cli(capsys, "lemma", "--m-max", "6")[0] == 0
+        assert run_cli(capsys, "test", "--p", "eleven", "--b", "2")[0] == 2
+        assert run_cli(capsys, "--help")[0] == 0
+        assert len(built) == per_build
+        assert cli._build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            [
+                (("test", "--p", "89", "--b", "2", "--path", "both"), 0),
+                (("test", "--p", "89", "--b", "2"), 0),
+            ],
+            [
+                (("sweep", "--p-min", "3", "--p-max", "21", "--bases", "2,3", "--per-p"), 0),
+                (("sweep", "--p-min", "3", "--p-max", "21", "--bases", "2,3"), 0),
+            ],
+            [
+                (("test", "--p", "3", "--b", "5", "--allow-large-base"), 0),
+                (("test", "--p", "3", "--b", "5"), 2),
+            ],
+            [
+                (("cosets", "--p", "89", "--output-format", "structured-record"), 0),
+                (("cosets", "--p", "89"), 0),
+            ],
+            [
+                (("test", "--p", "eleven", "--b", "2"), 2),
+                (("test", "--p", "9", "--b", "2"), 1),
+            ],
+            [
+                (("--help",), 0),
+                (("test", "--help"), 0),
+                (("test", "--p", "15", "--b", "2", "--output-format", "structured-record"), 1),
+            ],
+        ],
+    )
+    def test_no_state_between_calls(self, capsys, one_cpu, fresh_parser, sequence):
+        expected = []
+        for argv, _ in sequence:
+            cli._build_parser.cache_clear()
+            expected.append(run_cli(capsys, *argv))
+        cli._build_parser.cache_clear()
+        for (argv, code), (want_code, want_out, want_err) in zip(sequence, expected):
+            got_code, got_out, got_err = run_cli(capsys, *argv)
+            assert (got_code, untimed(got_out), got_err) == (want_code, untimed(want_out), want_err), argv
+            assert got_code == code, argv
+        assert cli._build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("run_test", ("test", "--p", "89", "--b", "2")),
+            ("sweep", ("sweep", "--p-min", "3", "--p-max", "9", "--bases", "2")),
+        ],
+    )
+    def test_patch_after_build_is_seen(self, capsys, monkeypatch, name, argv):
+        assert run_cli(capsys, *argv)[0] == 0  # the parser exists from here on
+
+        def refuse(*args, **kwargs):
+            raise DomainError(f"patched {name}")
+
+        monkeypatch.setattr(cli, name, refuse)
+        assert run_cli(capsys, *argv) == (2, "", f"error: patched {name}\n")

@@ -153,6 +153,31 @@ class TestProductClosed:
         assert residue == 1
         assert elapsed < 0.05, elapsed
 
+    # For a prime q | p, M_q = (b^q - 1)/(b - 1) divides M, and b^q == 1 mod
+    # M_q, so the product is ((b+1)...(b^(q-1)+1) * 2)^(p/q) / 2 mod M_q (2 is
+    # invertible, M_q being odd).  The inner product is 1 by the theorem at
+    # the prime q, which leaves 2^(p/q - 1).  README's b = 2 converse lemma
+    # rests on this: 2 has order q mod 2^q - 1.
+    @pytest.mark.parametrize(
+        "product, p_max, triples", [(product_closed, 400, 1462), (product_naive, 100, 268)]
+    )
+    def test_residue_mod_each_prime_factor_repunit(self, prime_flags, product, p_max, triples):
+        checked = 0
+        for p in range(9, p_max, 2):
+            if prime_flags[p]:
+                continue
+            for b in (2, 3, 5, 7, 10, 12):
+                if b > p - 1:
+                    continue
+                residue = product(build_modulus(b, p))
+                for q in (q for q in range(3, p, 2) if p % q == 0 and prime_flags[q]):
+                    m_q = (b**q - 1) // (b - 1)
+                    assert residue % m_q == pow(2, p // q - 1, m_q), (b, p, q)
+                    if b == 2:
+                        assert (residue % m_q == 1) == ((p // q - 1) % q == 0), (p, q)
+                    checked += 1
+        assert checked == triples
+
     def test_inexact_division_raises(self):
         # A hand-built modulus whose M disagrees with B by one makes the
         # filter sum 8 at p = 7; the path must refuse it, not truncate.
