@@ -3,9 +3,10 @@
 Evaluates the product (b + 1)(b**2 + 1)...(b**(p-1) + 1) mod the repunit
 modulus by three independent routes (a direct product, a coset-structured
 telescoping product, and a closed form over the divisors of p), builds and validates the underlying coset
-decomposition, verifies the cyclotomic root-product identity (expanded mod
-Y**m - 1 by rotations, then reduced once mod the m-th cyclotomic polynomial),
-and ships slow brute-force oracles for cross-validation.
+decomposition, verifies the cyclotomic root-product identity (by Newton's
+identities over the power sums of the roots, each reduced by one integer
+remainder mod the m-th cyclotomic polynomial at Y = 2**W), and ships slow
+brute-force oracles for cross-validation.
 """
 
 from .cosets import CosetDecomposition, VerificationReport, decompose, verify_partition

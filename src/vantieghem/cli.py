@@ -141,7 +141,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_lemma(args: argparse.Namespace) -> int:
     if args.m_max < 2:
         raise DomainError(f"m-max must be >= 2, got {args.m_max}")
-    rows = [(m, verify_lemma(m), cyclotomic_poly(m).pretty()) for m in range(2, args.m_max + 1)]
+    polys = [(m, cyclotomic_poly(m)) for m in range(2, args.m_max + 1)]
+    rows = [(m, verify_lemma(m, poly), poly.pretty()) for m, poly in polys]
     all_ok = all(ok for _, ok, _ in rows)
 
     def record() -> dict:

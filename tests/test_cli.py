@@ -12,6 +12,7 @@ from test_criterion import MERSENNE_PRIME_EXPONENTS
 import vantieghem.cli as cli
 import vantieghem.cosets as cosets
 import vantieghem.criterion as criterion
+import vantieghem.cyclotomic as cyclotomic
 from vantieghem import golden
 from vantieghem.cli import main
 from vantieghem.errors import DomainError, NotDivisible
@@ -384,12 +385,25 @@ class TestLemmaCommand:
         assert code == 2
 
     def test_one_polynomial_per_index(self, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "cyclotomic_poly", counting(cli.cyclotomic_poly, calls))
-        code, out, _ = run_cli(capsys, "lemma", "--m-max", "6")
-        assert code == 0
-        assert calls == [2, 3, 4, 5, 6]
-        assert "m=6: ok  X^2 - X + 1" in out
+        # Each Phi_m is built once per run, and built again by a second run
+        # in the same process: the cyclotomic module keeps no memo.
+        calls, built = [], []
+        counted = counting(cli.cyclotomic_poly, calls)
+        monkeypatch.setattr(cli, "cyclotomic_poly", counted)
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", counted)
+        post_init = cyclotomic.IntPolynomial.__post_init__
+
+        def recorded(self):
+            post_init(self)
+            built.append(self.degree)
+
+        monkeypatch.setattr(cyclotomic.IntPolynomial, "__post_init__", recorded)
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "lemma", "--m-max", "6")
+            assert code == 0
+            assert "m=6: ok  X^2 - X + 1" in out
+        assert calls == [2, 3, 4, 5, 6] * 2
+        assert built == [1, 2, 2, 4, 2] * 2
 
 
 class TestPaperExampleCommand:
